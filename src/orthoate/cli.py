@@ -32,7 +32,8 @@ from .score import (
     random_realizable_moments,
     solve_coefficients_oracle,
 )
-from .simulation import SimConfig, generate_dataset, run_estimator, run_sweep
+from .seeds import seed_int
+from .simulation import SimConfig, generate_dataset, kept_errors, run_estimators, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,10 +83,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **changes) if changes else cfg
 
 
-def _seed_int(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     sim = cfg.sim
     out = Path(cfg.output_dir)
@@ -108,30 +105,29 @@ def cmd_estimate(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = []
-    rel_errors: dict = {}
-    dml_bad: dict = {}
+    # (learner, estimator, dataset index, rel_error) of datasets whose report was written.
+    errors = []
     for di, path in enumerate(cfg.datasets):
         try:
             ds = load_csv_dataset(path, cfg.n_treatments)
-            split = make_split(ds.n, cfg.split, seed=_seed_int(cfg.seed, di, 0))
+            split = make_split(ds.n, cfg.split, seed=seed_int(cfg.seed, di, 0))
             truth_matrix = None
             if ds.truth is not None:
                 truth_rows = (
                     split.estimation_idx if cfg.truth_from == "estimation" else np.arange(ds.n)
                 )
                 truth_matrix = pairwise_from_theta(ds.truth[truth_rows].mean(axis=0))
-            rows = []
+            rows, dataset_errors = [], []
             for lspec in cfg.learners:
                 tr = split.training_idx
                 fits = fit_nuisances(
                     ds.Z[tr], ds.y[tr], ds.d[tr], ds.n_treatments, lspec,
-                    seed=_seed_int(cfg.seed, di, 1), floor=cfg.propensity_floor,
+                    seed=seed_int(cfg.seed, di, 1), floor=cfg.propensity_floor,
                 )
-                for espec in cfg.estimators:
-                    report = run_estimator(
-                        espec, ds, split, fits,
-                        seed=_seed_int(cfg.seed, di, 2), moments_from=cfg.moments_from,
-                    )
+                reports = run_estimators(
+                    cfg.estimators, ds, split, fits, seed_int(cfg.seed, di, 2), cfg.moments_from
+                )
+                for espec, report in zip(cfg.estimators, reports):
                     row = {"learner": lspec.label, "estimator": espec.label}
                     for i, v in enumerate(report.theta):
                         row[f"theta_{i}"] = v
@@ -141,12 +137,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
                                 row[f"ate_{i}_{k}"] = report.ate_pairwise[i, k]
                     err = None
                     if truth_matrix is not None:
-                        with np.errstate(invalid="ignore"):
-                            err = relative_ate_error(report.ate_pairwise, truth_matrix)
-                        key = (lspec.label, espec.label)
-                        rel_errors.setdefault(key, []).append((di, err))
-                        if espec.label == "dml" and not np.isfinite(err):
-                            dml_bad.setdefault(lspec.label, set()).add(di)
+                        err = relative_ate_error(report.ate_pairwise, truth_matrix)
+                        dataset_errors.append((lspec.label, espec.label, di, err))
                     row["rel_error"] = err
                     row["n_floored"] = report.diagnostics.n_floored
                     row["infinite"] = report.diagnostics.infinite
@@ -163,11 +155,12 @@ def cmd_estimate(cfg: RunConfig) -> int:
             dest = out / f"{Path(path).stem}_estimates.{cfg.output_format}"
             write_report(payload, dest, cfg.output_format)
             print(f"wrote {dest}")
+            errors.extend(dataset_errors)
         except (OrthoError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failures.append(str(path))
-    if rel_errors:
-        summary = _aggregate_estimates(cfg, rel_errors, dml_bad)
+    if errors:
+        summary = _estimate_summary(cfg, errors)
         dest = out / f"summary.{cfg.output_format}"
         write_report(summary, dest, cfg.output_format)
         print(f"wrote {dest}")
@@ -178,18 +171,13 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def _aggregate_estimates(cfg: RunConfig, rel_errors: dict, dml_bad: dict) -> dict:
+def _estimate_summary(cfg: RunConfig, errors: list) -> dict:
     # eps_ate per combo; optionally excluding datasets whose DML was infinite.
+    eps = {
+        key: (float(np.mean(errs)) if errs.size else float("nan"), errs.size, n_excluded)
+        for key, (errs, n_excluded) in kept_errors(errors, cfg.filter_infinite).items()
+    }
     rows = []
-    eps: dict = {}
-    for (learner, estimator), errs in rel_errors.items():
-        excluded = dml_bad.get(learner, set()) if cfg.filter_infinite else set()
-        kept = [e for di, e in errs if di not in excluded]
-        eps[(learner, estimator)] = (
-            float(np.mean(kept)) if kept else float("nan"),
-            len(kept),
-            len(errs) - len(kept),
-        )
     for lspec in cfg.learners:
         for espec in cfg.estimators:
             key = (lspec.label, espec.label)

@@ -1,7 +1,9 @@
 """Average-potential-outcome estimators over a single sample split.
 
-Three estimators share one protocol: nuisances are fit on the training
-fold only, all sums below run over the estimation fold only.
+Nuisances are fit on the training fold only.  Each estimator is a plain
+function of estimation-fold arrays: outcomes y, treatments d, outcome
+predictions G (one column per arm) and propensity predictions P, so one
+prediction per fold serves every estimator.
 
 * direct regression (DR): the fold mean of the outcome predictions;
 * first-order debiased (DML): DR plus inverse-propensity-weighted
@@ -175,14 +177,12 @@ def _finish_report(estimator, theta, n_floored, moments_used=None, r_reps=0) -> 
     )
 
 
-def estimate_dr(ds: Dataset, split: SplitPlan, fits) -> EstimateReport:
+def estimate_dr(G) -> EstimateReport:
     """Direct regression: fold means of the outcome predictions."""
-    idx = split.estimation_idx
-    G = fits.outcome_matrix(ds.Z[idx])
     return _finish_report("dr", G.mean(axis=0), 0)
 
 
-def estimate_dml(ds: Dataset, split: SplitPlan, fits) -> EstimateReport:
+def estimate_dml(y, d, G, P, n_floored: int = 0) -> EstimateReport:
     """First-order debiased estimator.
 
     theta_i = mean(g_i) + (1/N) sum over factual units of
@@ -190,19 +190,14 @@ def estimate_dml(ds: Dataset, split: SplitPlan, fits) -> EstimateReport:
     produces an infinite estimate; it is recorded in the diagnostics,
     never masked here.
     """
-    idx = split.estimation_idx
-    N = idx.size
-    y = ds.y[idx]
-    d = ds.d[idx]
-    G = fits.outcome_matrix(ds.Z[idx])
-    P, n_floored = fits.propensity_matrix(ds.Z[idx])
-    theta = np.zeros(ds.n_treatments)
-    for i in range(ds.n_treatments):
+    N = y.size
+    theta = np.zeros(G.shape[1])
+    for i in range(G.shape[1]):
         mask = d == i
         resid = y[mask] - G[mask, i]
         with np.errstate(divide="ignore", invalid="ignore"):
             contrib = resid / P[mask, i]
-        theta[i] = G[:, i].mean() + contrib.sum() / N
+            theta[i] = G[:, i].mean() + contrib.sum() / N
     return _finish_report("dml", theta, n_floored)
 
 
@@ -218,15 +213,16 @@ def single_resample_pass(pool: np.ndarray, corrections: np.ndarray, n_fold: int,
 
 
 def estimate_higher_order(
-    ds: Dataset,
-    split: SplitPlan,
-    fits,
+    y,
+    d,
+    G,
+    P,
     r: int,
     k: int,
     R: int = 100,
     seed: int = 0,
     moments=None,
-    moments_from: str = "estimation",
+    n_floored: int = 0,
     resampler=None,
 ) -> EstimateReport:
     """Debiased estimator built on the order-(r, k) orthogonal score.
@@ -239,33 +235,20 @@ def estimate_higher_order(
       from the factual residual pool, weighted by their A values,
       averaged over R repetitions.
 
-    ``moments`` overrides the residual-moment estimation (one Moments
-    per treatment), e.g. with exact model moments.  ``moments_from``
-    selects the fold the moments are estimated on.  ``resampler`` is a
-    test hook replacing the uniform draws; it receives
-    (rng, pool, target_rows, treatment) and must return one residual
-    per target row.
+    ``moments`` overrides the residual moments estimated from (d, P)
+    (one Moments per treatment), e.g. with exact model moments or
+    moments of the training fold.  ``resampler`` is a test hook
+    replacing the uniform draws; it receives (rng, pool, fold
+    positions of the target units, treatment) and must return one
+    residual per target unit.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    if moments_from not in ("estimation", "training"):
-        raise ValueError("moments_from must be 'estimation' or 'training'")
-    idx = split.estimation_idx
-    N = idx.size
-    y = ds.y[idx]
-    d = ds.d[idx]
-    G = fits.outcome_matrix(ds.Z[idx])
-    P, n_floored = fits.propensity_matrix(ds.Z[idx])
-    if moments is None and moments_from == "training":
-        d_mom = ds.d[split.training_idx]
-        P_mom, _ = fits.propensity_matrix(ds.Z[split.training_idx])
-    else:
-        d_mom, P_mom = d, P
-
-    theta = np.zeros(ds.n_treatments)
+    N = y.size
+    theta = np.zeros(G.shape[1])
     moments_used = []
-    for i in range(ds.n_treatments):
-        mom = moments[i] if moments is not None else estimate_moments(d_mom, P_mom[:, i], i, r)
+    for i in range(G.shape[1]):
+        mom = moments[i] if moments is not None else estimate_moments(d, P[:, i], i, r)
         moments_used.append(mom)
         coeffs = compute_coefficients(r, k, mom)
         t_ind = (d == i).astype(float)
@@ -279,14 +262,13 @@ def estimate_higher_order(
         counter = ~factual
         if counter.any():
             A_c = A[counter]
-            rows_c = idx[counter]
             acc = 0.0
             for u in range(R):
                 rng_u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, u)))
                 if resampler is None:
                     acc += single_resample_pass(pool, A_c, N, rng_u)
                 else:
-                    draws = np.asarray(resampler(rng_u, pool, rows_c, i), dtype=float)
+                    draws = np.asarray(resampler(rng_u, pool, np.flatnonzero(counter), i), dtype=float)
                     acc += float((draws * A_c).sum() / N)
             term_c = acc / R
         else:

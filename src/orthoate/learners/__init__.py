@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ConfigError
+from ..exceptions import ConfigError, MissingClass
+from ..seeds import seed_int
 from .base import NuisanceFits, Standardizer, validate_features
 from .forest import ForestClassifierFit, ForestRegressorFit, fit_forest_classifier, fit_forest_regressor
 from .lasso import LassoFit, fit_lasso, fit_lasso_cv, kkt_residual
@@ -53,19 +54,22 @@ def fit_nuisances(
 
     Callers pass training-fold rows only; nothing here sees the
     estimation fold.  Each outcome regressor is trained on the rows
-    actually assigned its treatment.  Seeds for sub-fits derive from
-    ``seed`` by fixed spawn keys, so refits are reproducible.
+    actually assigned its treatment, so an arm without training rows
+    raises :class:`MissingClass` before anything is fit.  Seeds for
+    sub-fits derive from ``seed`` by fixed spawn keys, so refits are
+    reproducible.
     """
     X = validate_features(X)
     y = np.asarray(y, dtype=float)
     d = np.asarray(d)
+    missing = [i for i in range(n_treatments) if not np.any(d == i)]
+    if missing:
+        raise MissingClass(f"treatment arm(s) {missing} have no training rows")
     outcome = []
     for i in range(n_treatments):
         rows = d == i
-        seed_i = np.random.SeedSequence(seed, spawn_key=(1, i))
         if spec.regressor == "lasso":
-            cv_seed = int(seed_i.generate_state(1)[0])
-            fit = fit_lasso_cv(X[rows], y[rows], grid=spec.lasso_grid, seed=cv_seed)
+            fit = fit_lasso_cv(X[rows], y[rows], grid=spec.lasso_grid, seed=seed_int(seed, 1, i))
         else:
             fit = fit_forest_regressor(
                 X[rows],
@@ -73,10 +77,10 @@ def fit_nuisances(
                 n_trees=spec.n_trees,
                 max_depth=spec.max_depth,
                 min_leaf=spec.min_leaf,
-                seed=int(seed_i.generate_state(1)[0]),
+                seed=seed_int(seed, 1, i),
             )
         outcome.append(fit)
-    prop_seed = int(np.random.SeedSequence(seed, spawn_key=(2,)).generate_state(1)[0])
+    prop_seed = seed_int(seed, 2)
     if spec.propensity == "logistic":
         propensity = fit_logistic(X, d, n_classes=n_treatments, l2=spec.logistic_l2)
     else:

@@ -35,7 +35,10 @@ class Standardizer:
         return cls(mean=mean, scale=scale)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
+        # Divides in place: one full-size temporary, not two.
+        Xs = X - self.mean
+        Xs /= self.scale
+        return Xs
 
 
 class _FunctionRegressor:

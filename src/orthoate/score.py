@@ -254,32 +254,6 @@ def solve_coefficients_oracle(r: int, k: int, moments: Moments) -> OrthoCoeffici
     return OrthoCoefficients(r=r, k=k, bar_b_r=float(sol[0]), b=sol[1:].copy())
 
 
-@dataclass(frozen=True)
-class ScoreInput:
-    """One observation's ingredients for a scalar score evaluation."""
-
-    treated_indicator: float
-    propensity: float
-    outcome: float
-    outcome_prediction: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        vals = (
-            self.treated_indicator,
-            self.propensity,
-            self.outcome,
-            self.outcome_prediction,
-            self.theta,
-        )
-        if not all(np.isfinite(v) for v in vals):
-            raise NonFinite("score inputs must be finite")
-        if self.treated_indicator not in (0.0, 1.0):
-            raise ValueError("treated_indicator must be 0 or 1")
-        if not (0.0 < self.propensity < 1.0):
-            raise ValueError("propensity must lie strictly inside (0, 1)")
-
-
 def correction_values(t, a, coeffs: OrthoCoefficients, moments: Moments) -> np.ndarray:
     """Vectorised correction factor A(t, a) as a polynomial in t - a.
 
@@ -334,17 +308,6 @@ def score_values(t, a, y, g, theta, coeffs: OrthoCoefficients, moments: Moments)
     return theta - g - (y - g) * correction_values(t, a, coeffs, moments)
 
 
-def eval_correction(inp: ScoreInput, coeffs: OrthoCoefficients, moments: Moments) -> float:
-    """Scalar correction factor for one observation."""
-    return float(correction_values(inp.treated_indicator, inp.propensity, coeffs, moments))
-
-
-def eval_score(inp: ScoreInput, coeffs: OrthoCoefficients, moments: Moments) -> float:
-    """Scalar score for one observation."""
-    a_val = eval_correction(inp, coeffs, moments)
-    return float(inp.theta - inp.outcome_prediction - (inp.outcome - inp.outcome_prediction) * a_val)
-
-
 def dml_correction_values(t, a) -> np.ndarray:
     """Correction factor t / a of the first-order (plain IPW) score."""
     t = np.asarray(t, dtype=float)
@@ -358,11 +321,3 @@ def dml_score_values(t, a, y, g, theta) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     return theta - g - (y - g) * dml_correction_values(t, a)
 
-
-def eval_score_dml(inp: ScoreInput) -> float:
-    """Scalar first-order score for one observation."""
-    return float(
-        dml_score_values(
-            inp.treated_indicator, inp.propensity, inp.outcome, inp.outcome_prediction, inp.theta
-        )
-    )

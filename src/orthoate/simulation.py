@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .estimators import (
     Dataset,
-    EstimateReport,
     estimate_dml,
     estimate_dr,
     estimate_higher_order,
+    estimate_moments,
     make_split,
     pairwise_from_theta,
     relative_ate_error,
@@ -41,6 +41,7 @@ from .estimators import (
 from .exceptions import ConfigError, ShapeMismatch
 from .learners import LearnerSpec, fit_nuisances, softmax
 from .score import Moments, _validate_orders
+from .seeds import seed_int
 
 SWEEP_KINDS = ("confounding", "dimension", "samplesize")
 
@@ -81,14 +82,60 @@ class EstimatorSpec:
         return self.kind
 
 
-def run_estimator(spec: EstimatorSpec, ds, split, fits, seed: int = 0, moments_from: str = "estimation") -> EstimateReport:
-    if spec.kind == "dr":
-        return estimate_dr(ds, split, fits)
-    if spec.kind == "dml":
-        return estimate_dml(ds, split, fits)
-    return estimate_higher_order(
-        ds, split, fits, int(spec.r), int(spec.k), R=spec.R, seed=seed, moments_from=moments_from
-    )
+def run_estimators(specs, ds, split, fits, seed: int = 0, moments_from: str = "estimation") -> list:
+    """One EstimateReport per spec on the estimation fold of ``ds``.
+
+    The fold's outcome and propensity predictions are made once and
+    shared by every estimator.  Training rows are predicted only when a
+    higher-order estimator takes its residual moments from the
+    training fold (``moments_from="training"``).
+    """
+    if moments_from not in ("estimation", "training"):
+        raise ValueError("moments_from must be 'estimation' or 'training'")
+    idx, tr = split.estimation_idx, split.training_idx
+    y, d = ds.y[idx], ds.d[idx]
+    G = fits.outcome_matrix(ds.Z[idx])
+    P, n_floored = fits.propensity_matrix(ds.Z[idx])
+    P_train = None
+    if moments_from == "training" and any(spec.kind == "higher_order" for spec in specs):
+        P_train, _ = fits.propensity_matrix(ds.Z[tr])
+    reports = []
+    for spec in specs:
+        if spec.kind == "dr":
+            reports.append(estimate_dr(G))
+        elif spec.kind == "dml":
+            reports.append(estimate_dml(y, d, G, P, n_floored))
+        else:
+            r, k = int(spec.r), int(spec.k)
+            moments = None
+            if P_train is not None:
+                moments = [estimate_moments(ds.d[tr], P_train[:, i], i, r) for i in range(G.shape[1])]
+            reports.append(estimate_higher_order(
+                y, d, G, P, r, k, R=spec.R, seed=seed, moments=moments, n_floored=n_floored
+            ))
+    return reports
+
+
+def kept_errors(errors, filter_infinite: bool) -> dict:
+    """Group relative errors, optionally dropping units whose DML error is not finite.
+
+    ``errors`` holds (group, estimator, unit, rel_error) tuples; a unit
+    is a dataset or replication and a group the learner label, or the
+    (grid value, learner label) pair of a sweep.  With
+    ``filter_infinite`` a unit whose "dml" error in a group is not
+    finite is dropped from every estimator of that group.  Returns
+    {(group, estimator): (kept errors as an array, number excluded)}.
+    """
+    bad = {
+        (group, unit)
+        for group, estimator, unit, err in errors
+        if filter_infinite and estimator == "dml" and not np.isfinite(err)
+    }
+    groups: dict = {}
+    for group, estimator, unit, err in errors:
+        kept, excluded = groups.setdefault((group, estimator), ([], []))
+        (excluded if (group, unit) in bad else kept).append(err)
+    return {key: (np.asarray(kept), len(excluded)) for key, (kept, excluded) in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -357,17 +404,6 @@ class SweepReport:
         ]
         return np.asarray(out)
 
-    def _kept_replications(self, grid_value, learner: str) -> set:
-        bad = {
-            r.replication
-            for r in self.rows
-            if r.grid_value == grid_value
-            and r.learner == learner
-            and r.estimator == "dml"
-            and not np.isfinite(r.rel_error)
-        }
-        return {r.replication for r in self.rows if r.grid_value == grid_value} - bad
-
     def aggregate(self, filter_infinite: bool = False) -> list:
         """Mean and median relative error per (grid value, learner, estimator).
 
@@ -375,54 +411,34 @@ class SweepReport:
         non-finite is dropped from all estimators' aggregates at that
         grid point, and the exclusion count is reported.
         """
+        groups = kept_errors(
+            [((r.grid_value, r.learner), r.estimator, r.replication, r.rel_error) for r in self.rows],
+            filter_infinite,
+        )
         out = []
-        combos = sorted({(r.grid_value, r.learner, r.estimator) for r in self.rows},
-                        key=lambda c: (c[0], c[1], c[2]))
-        for gv, learner, estimator in combos:
-            rows = [
-                r for r in self.rows
-                if r.grid_value == gv and r.learner == learner and r.estimator == estimator
-            ]
-            n_total = len(rows)
-            if filter_infinite:
-                kept = self._kept_replications(gv, learner)
-                rows = [r for r in rows if r.replication in kept]
-            errs = np.asarray([r.rel_error for r in rows])
-            finite_mean = float(np.mean(errs)) if errs.size else float("nan")
+        for (gv, learner), estimator in sorted(groups):
+            errs, n_excluded = groups[(gv, learner), estimator]
             out.append(
                 {
                     "grid_value": gv,
                     "learner": learner,
                     "estimator": estimator,
-                    "n": len(rows),
-                    "n_excluded": n_total - len(rows),
-                    "eps_ate": finite_mean,
+                    "n": errs.size,
+                    "n_excluded": n_excluded,
+                    "eps_ate": float(np.mean(errs)) if errs.size else float("nan"),
                     "median": float(np.median(errs)) if errs.size else float("nan"),
                 }
             )
         return out
 
     def to_payload(self, filter_infinite: bool = False) -> dict:
-        columns = ["grid_value", "learner", "estimator", "replication", "rel_error", "infinite", "nan"]
-        rows = [
-            {
-                "grid_value": r.grid_value,
-                "learner": r.learner,
-                "estimator": r.estimator,
-                "replication": r.replication,
-                "rel_error": r.rel_error,
-                "infinite": r.infinite,
-                "nan": r.nan,
-            }
-            for r in self.rows
-        ]
         return {
             "schema_version": 1,
             "kind": f"sweep_{self.sweep}",
             "master_seed": self.master_seed,
             "M": self.M,
-            "columns": columns,
-            "rows": rows,
+            "columns": [f.name for f in fields(SweepRow)],
+            "rows": [asdict(r) for r in self.rows],
             "summary": self.aggregate(filter_infinite=filter_infinite),
         }
 
@@ -447,34 +463,30 @@ def _sweep_task(args):
     (cfg_point, grid_value, rep, learner_specs, estimator_specs, ratios, floor,
      noise_sd, moments_from, master_seed) = args
     ds, truth = generate_dataset(cfg_point, rep)
-    split_seed = int(np.random.SeedSequence(master_seed, spawn_key=(rep, _TAG_SPLIT)).generate_state(1)[0])
-    split = make_split(ds.n, ratios, seed=split_seed)
+    split = make_split(ds.n, ratios, seed=seed_int(master_seed, rep, _TAG_SPLIT))
     truth_matrix = truth.fold_pairwise(split.estimation_idx)
     tr = split.training_idx
     rows = []
     for lspec in learner_specs:
         fits = fit_nuisances(
             ds.Z[tr], ds.y[tr], ds.d[tr], ds.n_treatments, lspec,
-            seed=int(np.random.SeedSequence(master_seed, spawn_key=(rep, _TAG_PARAMS + 1)).generate_state(1)[0]),
-            floor=floor,
+            seed=seed_int(master_seed, rep, _TAG_PARAMS + 1), floor=floor,
         )
         if noise_sd > 0.0:
-            wrap_seed = int(
-                np.random.SeedSequence(master_seed, spawn_key=(rep, _TAG_NOISE_WRAP)).generate_state(1)[0]
+            fits.propensity = NoisyPropensity(
+                fits.propensity, noise_sd, seed_int(master_seed, rep, _TAG_NOISE_WRAP)
             )
-            fits.propensity = NoisyPropensity(fits.propensity, noise_sd, wrap_seed)
-        est_seed = int(np.random.SeedSequence(master_seed, spawn_key=(rep, _TAG_ESTIMATOR)).generate_state(1)[0])
-        for espec in estimator_specs:
-            report = run_estimator(espec, ds, split, fits, seed=est_seed, moments_from=moments_from)
-            with np.errstate(invalid="ignore"):
-                err = relative_ate_error(report.ate_pairwise, truth_matrix)
+        reports = run_estimators(
+            estimator_specs, ds, split, fits, seed_int(master_seed, rep, _TAG_ESTIMATOR), moments_from
+        )
+        for espec, report in zip(estimator_specs, reports):
             rows.append(
                 SweepRow(
                     grid_value=grid_value,
                     learner=lspec.label,
                     estimator=espec.label,
                     replication=rep,
-                    rel_error=err,
+                    rel_error=relative_ate_error(report.ate_pairwise, truth_matrix),
                     infinite=report.diagnostics.infinite,
                     nan=report.diagnostics.nan,
                 )
@@ -493,18 +505,15 @@ def run_sweep(
     propensity_noise_sd: float = 0.0,
     moments_from: str = "estimation",
     workers: int | None = None,
-    redraw_params: bool = False,
 ) -> SweepReport:
     """Run every estimator/learner combo over a parameter grid.
 
     Model coefficients are drawn once per sweep at the widest grid
     shape and sliced per grid point, so grid points share parameters
-    wherever shapes overlap.  ``redraw_params`` switches to a fresh
-    parameter draw per replication instead (grid points still share).
-    Each (grid point, replication) is an independent task; with
-    ``workers`` > 1 tasks run in a process pool, and results are
-    identical to the serial order because every task seeds its own
-    streams.
+    wherever shapes overlap.  Each (grid point, replication) is an
+    independent task; with ``workers`` > 1 tasks run in a process pool,
+    and results are identical to the serial order because every task
+    seeds its own streams.
     """
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind '{kind}' (choices: {SWEEP_KINDS})")
@@ -531,19 +540,10 @@ def run_sweep(
         beta_full, coeffs_full = draw_default_params(
             p_max, max(conf_max, 1), cfg.n_treatments, cfg.master_seed
         )
-    per_rep = None
-    if redraw_params:
-        per_rep = []
-        for rep in range(cfg.M):
-            seed_r = int(
-                np.random.SeedSequence(cfg.master_seed, spawn_key=(rep, _TAG_PARAMS)).generate_state(1)[0]
-            )
-            per_rep.append(draw_default_params(p_max, max(conf_max, 1), cfg.n_treatments, seed_r))
     tasks = []
     for value in values:
         for rep in range(cfg.M):
-            b_full, c_full = per_rep[rep] if per_rep is not None else (beta_full, coeffs_full)
-            cfg_point = _grid_config(cfg, kind, value, b_full, c_full)
+            cfg_point = _grid_config(cfg, kind, value, beta_full, coeffs_full)
             tasks.append(
                 (
                     cfg_point,

@@ -38,6 +38,13 @@ from orthoate import (
 DATA = Path(__file__).parent / "data"
 
 
+def fold_arrays(ds, split, fits) -> tuple:
+    """(y, d, G, P) of the estimation fold, as the estimators take them."""
+    idx = split.estimation_idx
+    P, _ = fits.propensity_matrix(ds.Z[idx])
+    return ds.y[idx], ds.d[idx], fits.outcome_matrix(ds.Z[idx]), P
+
+
 def test_ac1_recursion_matches_linear_system_oracle(acceptance_log):
     """All (r, k), 2 <= k <= r <= 6, on 200 realizable moment sequences."""
     t0 = time.perf_counter()
@@ -149,9 +156,9 @@ def test_ac5_oracle_nuisance_unbiasedness(acceptance_log):
     for rep in range(reps):
         ds, _ = generate_dataset(cfg, rep)
         split = make_split(ds.n, seed=rep + 1)
+        arrays = fold_arrays(ds, split, fits)
         for rk in draws:
-            out = estimate_higher_order(ds, split, fits, *rk, R=10, seed=rep,
-                                        moments=exact)
+            out = estimate_higher_order(*arrays, *rk, R=10, seed=rep, moments=exact)
             draws[rk].append(out.theta)
     worst = 0.0
     for rk, vals in draws.items():
@@ -192,8 +199,10 @@ def test_ac6_resampling_variance_law(acceptance_log):
                                    1.0 / (1.0 + np.exp(-0.8 * Z[:, 0]))]),
     )
 
+    arrays = fold_arrays(ds, split, fits)
+
     def theta0(R, seed):
-        return estimate_higher_order(ds, split, fits, 2, 2, R=R, seed=seed).theta[0]
+        return estimate_higher_order(*arrays, 2, 2, R=R, seed=seed).theta[0]
 
     trials = 500
     d1 = np.array([theta0(1, 2 * s) - theta0(1, 2 * s + 1) for s in range(trials)])
@@ -275,9 +284,10 @@ def test_ac8_hand_worked_fixture(acceptance_log):
     pinned = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1, 0)))
     assert pinned.integers(0, 3, size=1)[0] == 2
 
-    dr = estimate_dr(ds, split, fits).theta
-    dml = estimate_dml(ds, split, fits).theta
-    ho = estimate_higher_order(ds, split, fits, r=2, k=2, R=1, seed=7).theta
+    y, d, G, P = fold_arrays(ds, split, fits)
+    dr = estimate_dr(G).theta
+    dml = estimate_dml(y, d, G, P).theta
+    ho = estimate_higher_order(y, d, G, P, r=2, k=2, R=1, seed=7).theta
     hand = {
         "dr": np.array([7.0, 7.0]),
         "dml": np.array([3.0, 25.0 / 3.0]),

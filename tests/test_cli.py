@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orthoate import read_report_csv
+from orthoate import Dataset, load_csv_dataset, make_split, read_report_csv, save_csv_dataset
 from orthoate.cli import main
 
 
@@ -169,6 +169,29 @@ class TestZeroPropensity:
         assert np.isfinite(dml_row["eps_ate"])
         ho_row = next(r for r in summary["rows"] if r["estimator"] == "ho(2,2)")
         assert isinstance(ho_row["R_dml"], float)
+
+
+class TestFailedDataset:
+    def test_failed_dataset_stays_out_of_summary(self, workspace, capsys):
+        # Arm 2 keeps six rows, all in the training fold, so the
+        # higher-order estimator finds no factual residuals for it on
+        # the estimation fold and the whole dataset fails.
+        main(["simulate", "--config", write_json(workspace / "sim.json", base_config()), "--out", "data"])
+        ds = load_csv_dataset(workspace / "data" / "dataset_000.csv")
+        # The split the CLI draws for the first dataset.
+        seed = int(np.random.SeedSequence(11, spawn_key=(0, 0)).generate_state(1)[0])
+        training = make_split(ds.n, (0.56, 0.14, 0.30), seed=seed).training_idx
+        d = np.where(ds.d == 2, 0, ds.d)
+        d[training[:6]] = 2
+        save_csv_dataset(
+            Dataset(y=ds.y, d=d, Z=ds.Z, truth=ds.truth, n_treatments=3), workspace / "bad.csv"
+        )
+        cfg = write_json(workspace / "cfg.json", base_config(datasets=["bad.csv", "data/dataset_001.csv"]))
+        assert main(["estimate", "--config", cfg]) == 2
+        assert "bad.csv" in capsys.readouterr().err
+        assert not (workspace / "out" / "bad_estimates.csv").exists()
+        summary = read_report_csv(workspace / "out" / "summary.csv")
+        assert [r["n_datasets"] for r in summary["rows"]] == [1, 1, 1]
 
 
 class TestSweep:

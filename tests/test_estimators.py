@@ -6,6 +6,7 @@ from orthoate import (
     DegenerateMoment,
     EmptyFold,
     EmptyResidualSet,
+    EstimatorSpec,
     Moments,
     NuisanceFits,
     ShapeMismatch,
@@ -21,6 +22,7 @@ from orthoate import (
     make_split,
     pairwise_from_theta,
     relative_ate_error,
+    run_estimators,
     single_resample_pass,
 )
 
@@ -32,6 +34,13 @@ def constant_fits(g_values, pi_values, floor=0.0) -> NuisanceFits:
         return np.tile(np.asarray(pi_values, dtype=float), (len(Z), 1))
 
     return NuisanceFits.from_callables(outcome_fns, propensity, floor=floor)
+
+
+def fold_arrays(ds, split, fits) -> tuple:
+    """(y, d, G, P) of the estimation fold, as the estimators take them."""
+    idx = split.estimation_idx
+    P, _ = fits.propensity_matrix(ds.Z[idx])
+    return ds.y[idx], ds.d[idx], fits.outcome_matrix(ds.Z[idx]), P
 
 
 @pytest.fixture
@@ -120,7 +129,7 @@ class TestBaselines:
     def test_dr_is_prediction_mean(self, toy):
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.5, 0.5])
-        rep = estimate_dr(ds, split, fits)
+        rep = estimate_dr(fold_arrays(ds, split, fits)[2])
         np.testing.assert_array_equal(rep.theta, [1.0, 2.0])
         assert rep.estimator == "dr"
 
@@ -129,7 +138,7 @@ class TestBaselines:
         # theta_1 = 2 + ((3-2)/0.5 + (5-2)/0.5)/4 = 4
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.5, 0.5])
-        rep = estimate_dml(ds, split, fits)
+        rep = estimate_dml(*fold_arrays(ds, split, fits))
         np.testing.assert_allclose(rep.theta, [3.0, 4.0], rtol=1e-14)
         assert rep.ate_pairwise[0, 1] == pytest.approx(-1.0)
 
@@ -140,8 +149,8 @@ class TestBaselines:
         fits = NuisanceFits.from_callables(
             outcome_fns, lambda Z: np.tile([0.5, 0.5], (len(Z), 1))
         )
-        dr = estimate_dr(ds, split, fits)
-        dml = estimate_dml(ds, split, fits)
+        dr = estimate_dr(fold_arrays(ds, split, fits)[2])
+        dml = estimate_dml(*fold_arrays(ds, split, fits))
         np.testing.assert_allclose(dml.theta, dr.theta, rtol=1e-14)
 
     def test_dml_zero_propensity_goes_infinite(self, toy):
@@ -155,14 +164,14 @@ class TestBaselines:
         fits = NuisanceFits.from_callables(
             [lambda Z: np.zeros(len(Z)), lambda Z: np.zeros(len(Z))], propensity
         )
-        rep = estimate_dml(ds, split, fits)
+        rep = estimate_dml(*fold_arrays(ds, split, fits))
         assert rep.diagnostics.infinite
         assert np.isinf(rep.theta[1])
 
     def test_antisymmetry(self, toy):
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.4, 0.6])
-        rep = estimate_dml(ds, split, fits)
+        rep = estimate_dml(*fold_arrays(ds, split, fits))
         np.testing.assert_array_equal(rep.ate_pairwise, -rep.ate_pairwise.T)
         assert rep.ate_pairwise[0, 1] == rep.theta[0] - rep.theta[1]
 
@@ -171,16 +180,16 @@ class TestHigherOrder:
     def test_bitwise_reproducible(self, toy):
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.5, 0.5])
-        a = estimate_higher_order(ds, split, fits, r=2, k=2, R=25, seed=31)
-        b = estimate_higher_order(ds, split, fits, r=2, k=2, R=25, seed=31)
+        a = estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=25, seed=31)
+        b = estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=25, seed=31)
         np.testing.assert_array_equal(a.theta, b.theta)
-        c = estimate_higher_order(ds, split, fits, r=2, k=2, R=25, seed=32)
+        c = estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=25, seed=32)
         assert not np.array_equal(a.theta, c.theta)
 
     def test_r_reps_recorded(self, toy):
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.5, 0.5])
-        rep = estimate_higher_order(ds, split, fits, r=2, k=2, R=7, seed=0)
+        rep = estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=7, seed=0)
         assert rep.r_reps == 7
         assert rep.estimator == "ho(2,2)"
         assert len(rep.moments_used) == 2
@@ -192,7 +201,7 @@ class TestHigherOrder:
         split = SplitPlan(estimation_idx=np.array([1, 2, 3]), training_idx=np.array([0]))
         fits = constant_fits([0.0, 0.0], [0.7, 0.3])
         with pytest.raises(EmptyResidualSet):
-            estimate_higher_order(ds, split, fits, r=2, k=2, R=1, seed=0)
+            estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=1, seed=0)
 
     def test_decomposition_identity_with_identity_resampler(self):
         # When the resampler returns each unit's actual counterfactual
@@ -208,14 +217,16 @@ class TestHigherOrder:
         g_hat = [lambda Z: 0.1 * Z[:, 0], lambda Z: 1.0 + 0.5 * Z[:, 1]]
         fits = NuisanceFits.from_callables(g_hat, lambda Z: np.tile([0.5, 0.5], (len(Z), 1)))
 
-        def identity_resampler(rng_u, pool, rows, i):
+        idx = split.estimation_idx
+
+        def identity_resampler(rng_u, pool, positions, i):
+            rows = idx[positions]
             return potential[rows, i] - g_hat[i](Z[rows])
 
         rep = estimate_higher_order(
-            ds, split, fits, r=2, k=2, R=1, seed=0, resampler=identity_resampler
+            *fold_arrays(ds, split, fits), r=2, k=2, R=1, seed=0, resampler=identity_resampler
         )
 
-        idx = split.estimation_idx
         N = idx.size
         for i in range(2):
             mom = estimate_moments(ds.d[idx], np.full(N, 0.5), i, 2)
@@ -240,9 +251,35 @@ class TestHigherOrder:
             return np.tile([0.5, 0.5], (len(Z), 1))
 
         fits = NuisanceFits.from_callables([record_outcome, record_outcome], record_propensity)
-        estimate_higher_order(ds, split, fits, r=2, k=2, R=2, seed=0)
+        specs = [EstimatorSpec("dr"), EstimatorSpec("dml"), EstimatorSpec("higher_order", r=2, k=2, R=2)]
+        run_estimators(specs, ds, split, fits, seed=0)
         fold_rows = set(ds.Z[split.estimation_idx, 0].tolist())
         assert set(seen) == fold_rows
+
+    def test_run_estimators_predicts_each_fold_once(self, toy):
+        ds, split = toy
+        calls = []
+
+        def outcome(Z):
+            calls.append(("outcome", len(Z)))
+            return np.zeros(len(Z))
+
+        def propensity(Z):
+            calls.append(("propensity", len(Z)))
+            return np.tile([0.5, 0.5], (len(Z), 1))
+
+        fits = NuisanceFits.from_callables([outcome, outcome], propensity)
+        specs = [EstimatorSpec("dr"), EstimatorSpec("dml"), EstimatorSpec("higher_order", r=2, k=2, R=1),
+                 EstimatorSpec("higher_order", r=4, k=2, R=1)]
+        reports = run_estimators(specs, ds, split, fits, seed=0)
+        assert [r.estimator for r in reports] == ["dr", "dml", "ho(2,2)", "ho(4,2)"]
+        assert calls == [("outcome", 4), ("outcome", 4), ("propensity", 4)]
+        calls.clear()
+        run_estimators(specs, ds, split, fits, seed=0, moments_from="training")
+        assert calls == [("outcome", 4), ("outcome", 4), ("propensity", 4), ("propensity", 1)]
+        calls.clear()
+        run_estimators(specs[:2], ds, split, fits, seed=0, moments_from="training")
+        assert calls == [("outcome", 4), ("outcome", 4), ("propensity", 4)]
 
     def test_moments_from_training_switch(self, toy):
         ds, split = toy
@@ -255,17 +292,16 @@ class TestHigherOrder:
         fits = NuisanceFits.from_callables(
             [lambda Z: np.zeros(len(Z)), lambda Z: np.zeros(len(Z))], skewed_propensity
         )
-        rep_est = estimate_higher_order(ds, split, fits, r=2, k=2, R=1, seed=0)
-        rep_tr = estimate_higher_order(
-            ds, split, fits, r=2, k=2, R=1, seed=0, moments_from="training"
-        )
+        specs = [EstimatorSpec("higher_order", r=2, k=2, R=1)]
+        rep_est = run_estimators(specs, ds, split, fits, seed=0)[0]
+        rep_tr = run_estimators(specs, ds, split, fits, seed=0, moments_from="training")[0]
         assert rep_est.moments_used[1].m(2) != rep_tr.moments_used[1].m(2)
 
     def test_exact_moment_override(self, toy):
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.5, 0.5])
         exact = (Moments.from_bernoulli(0.5, 2), Moments.from_bernoulli(0.5, 2))
-        rep = estimate_higher_order(ds, split, fits, r=2, k=2, R=1, seed=0, moments=exact)
+        rep = estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=1, seed=0, moments=exact)
         assert rep.moments_used[0].m(2) == 0.25
 
 

@@ -14,13 +14,9 @@ from orthoate import (
     correction_derivative_values,
     correction_values,
     dml_score_values,
-    eval_correction,
-    eval_score,
-    eval_score_dml,
     score_values,
     solve_coefficients_oracle,
 )
-from orthoate.score import ScoreInput
 
 from conftest import moment_sequences
 
@@ -162,8 +158,8 @@ class TestCorrection:
         a = rng.uniform(0.05, 0.95, 40)
         vec = correction_values(t, a, c, bernoulli_03_moments)
         for j in range(40):
-            inp = ScoreInput(int(t[j]), a[j], 0.0, 0.0, 0.0)
-            assert vec[j] == pytest.approx(eval_correction(inp, c, bernoulli_03_moments), rel=1e-14)
+            scalar = float(correction_values(int(t[j]), a[j], c, bernoulli_03_moments))
+            assert vec[j] == pytest.approx(scalar, rel=1e-14)
 
 
 class TestDerivative:
@@ -195,8 +191,7 @@ class TestDerivative:
 class TestScore:
     def test_zero_when_prediction_perfect_and_theta_matches(self, bernoulli_03_moments):
         c = compute_coefficients(2, 2, bernoulli_03_moments)
-        inp = ScoreInput(1, 0.3, outcome=2.5, outcome_prediction=2.5, theta=2.5)
-        assert eval_score(inp, c, bernoulli_03_moments) == 0.0
+        assert score_values(1, 0.3, 2.5, 2.5, 2.5, c, bernoulli_03_moments) == 0.0
 
     def test_affine_in_prediction(self, bernoulli_03_moments):
         # score(g) is affine with slope A - 1: three points must be collinear.
@@ -208,12 +203,12 @@ class TestScore:
             y, theta = rng.normal(size=2)
             g0, g1 = rng.normal(size=2)
             gm = 0.5 * (g0 + g1)
-            s0 = eval_score(ScoreInput(t, a, y, g0, theta), c, bernoulli_03_moments)
-            s1 = eval_score(ScoreInput(t, a, y, g1, theta), c, bernoulli_03_moments)
-            sm = eval_score(ScoreInput(t, a, y, gm, theta), c, bernoulli_03_moments)
+            s0 = float(score_values(t, a, y, g0, theta, c, bernoulli_03_moments))
+            s1 = float(score_values(t, a, y, g1, theta, c, bernoulli_03_moments))
+            sm = float(score_values(t, a, y, gm, theta, c, bernoulli_03_moments))
             assert sm == pytest.approx(0.5 * (s0 + s1), rel=1e-10, abs=1e-12)
             slope = (s1 - s0) / (g1 - g0)
-            a_val = eval_correction(ScoreInput(t, a, y, g0, theta), c, bernoulli_03_moments)
+            a_val = float(correction_values(t, a, c, bernoulli_03_moments))
             assert slope == pytest.approx(a_val - 1.0, rel=1e-9, abs=1e-12)
 
     def test_monte_carlo_mean_vanishes_at_truth(self, bernoulli_03_moments):
@@ -236,23 +231,7 @@ class TestScore:
         t, a, y, g, theta = 1.0, 0.25, 3.0, 1.0, 2.0
         direct = theta - g - (y - g) * (t / a)
         assert dml_score_values(t, a, y, g, theta) == pytest.approx(direct, rel=1e-15)
-        inp = ScoreInput(1, 0.25, y, g, theta)
-        assert eval_score_dml(inp) == pytest.approx(direct, rel=1e-15)
-
-
-class TestScoreInput:
-    def test_rejects_non_binary_indicator(self):
-        with pytest.raises(ValueError):
-            ScoreInput(2, 0.3, 0.0, 0.0, 0.0)
-
-    def test_rejects_boundary_propensity(self):
-        for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError):
-                ScoreInput(1, bad, 0.0, 0.0, 0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NonFinite):
-            ScoreInput(1, 0.3, np.inf, 0.0, 0.0)
+        assert float(dml_score_values(1, 0.25, y, g, theta)) == pytest.approx(direct, rel=1e-15)
 
 
 class TestBinomial:

@@ -5,13 +5,14 @@ from orthoate import (
     ConfigError,
     EstimatorSpec,
     LearnerSpec,
+    MissingClass,
     NoisyPropensity,
     SimConfig,
     estimate_dr,
     fit_nuisances,
     generate_dataset,
     make_split,
-    run_estimator,
+    run_estimators,
     run_sweep,
 )
 from orthoate.simulation import SweepReport, SweepRow
@@ -147,9 +148,23 @@ class TestEstimatorSpec:
         split = make_split(ds.n, (0.56, 0.14, 0.30), seed=1)
         tr = split.training_idx
         fits = fit_nuisances(ds.Z[tr], ds.y[tr], ds.d[tr], 3, LearnerSpec(), seed=2)
-        via_spec = run_estimator(EstimatorSpec("dr"), ds, split, fits, seed=0)
-        direct = estimate_dr(ds, split, fits)
+        via_spec = run_estimators([EstimatorSpec("dr")], ds, split, fits, seed=0)[0]
+        direct = estimate_dr(fits.outcome_matrix(ds.Z[split.estimation_idx]))
         np.testing.assert_array_equal(via_spec.theta, direct.theta)
+
+
+class TestFitNuisances:
+    @pytest.mark.parametrize("spec", [
+        LearnerSpec(),
+        LearnerSpec(regressor="forest", propensity="forest", n_trees=2, max_depth=2),
+    ], ids=["lasso+logistic", "forest+forest"])
+    def test_arm_without_training_rows_is_named_before_any_fit(self, spec):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        d = np.tile([0, 2], 15)
+        with pytest.raises(MissingClass, match=r"arm\(s\) \[1\]"):
+            fit_nuisances(X, y, d, 3, spec, seed=0)
 
 
 class TestNoisyPropensity:
@@ -237,12 +252,3 @@ class TestSweep:
         serial = run_sweep(cfg, "samplesize", (300,), specs, workers=1)
         parallel = run_sweep(cfg, "samplesize", (300,), specs, workers=2)
         assert [r.rel_error for r in serial.rows] == [r.rel_error for r in parallel.rows]
-
-    def test_redraw_params_changes_results_deterministically(self):
-        cfg = SimConfig(Q=300, p=2, r_c=1.0, n_treatments=3, M=2, master_seed=3)
-        specs = (EstimatorSpec("dr"),)
-        fixed = run_sweep(cfg, "samplesize", (300,), specs)
-        redrawn_a = run_sweep(cfg, "samplesize", (300,), specs, redraw_params=True)
-        redrawn_b = run_sweep(cfg, "samplesize", (300,), specs, redraw_params=True)
-        assert [r.rel_error for r in redrawn_a.rows] != [r.rel_error for r in fixed.rows]
-        assert [r.rel_error for r in redrawn_a.rows] == [r.rel_error for r in redrawn_b.rows]
