@@ -19,6 +19,9 @@ from ..exceptions import MissingClass, NonFinite, ShapeMismatch
 from .base import validate_features
 
 
+_OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
+
+
 class _Tree:
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
@@ -114,7 +117,11 @@ def _grow_tree(X, target, rng, max_depth, min_leaf, mtry, leaf_value, is_pure, s
 
 def _regression_kit():
     def leaf_value(y):
-        return float(y.mean())
+        with np.errstate(over="ignore"):
+            value = float(y.mean())
+        if not np.isfinite(value):
+            raise NonFinite(_OVERFLOW)
+        return value
 
     def is_pure(y):
         return y.max() == y.min()
@@ -123,11 +130,15 @@ def _regression_kit():
         # sum_L^2/n_L + sum_R^2/n_R at every boundary; maximising it
         # maximises the variance reduction of the split.
         n = y_sorted.size
-        csum = np.cumsum(y_sorted)
-        total = csum[-1]
-        nl = np.arange(1, n)
-        sl = csum[:-1]
-        return sl * sl / nl + (total - sl) ** 2 / (n - nl)
+        with np.errstate(over="ignore", invalid="ignore"):
+            csum = np.cumsum(y_sorted)
+            total = csum[-1]
+            nl = np.arange(1, n)
+            sl = csum[:-1]
+            scores = sl * sl / nl + (total - sl) ** 2 / (n - nl)
+        if not np.all(np.isfinite(scores)):
+            raise NonFinite(_OVERFLOW)
+        return scores
 
     return leaf_value, is_pure, split_score
 

@@ -194,6 +194,22 @@ class TestFailedDataset:
         assert [r["n_datasets"] for r in summary["rows"]] == [1, 1, 1]
 
 
+class TestOverflow:
+    def test_forest_overflow_fails_the_dataset(self, workspace, capsys):
+        main(["simulate", "--config", write_json(workspace / "sim.json", base_config()), "--out", "data"])
+        ds = load_csv_dataset(workspace / "data" / "dataset_000.csv")
+        huge = Dataset(y=1e200 * ds.y, d=ds.d, Z=ds.Z, truth=ds.truth, n_treatments=3)
+        save_csv_dataset(huge, workspace / "huge.csv")
+        cfg = write_json(workspace / "cfg.json", base_config(
+            datasets=["huge.csv"],
+            learners=[{"regressor": "forest", "propensity": "forest", "n_trees": 3}],
+        ))
+        assert main(["estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: huge.csv:" in err and "overflow" in err
+        assert not (workspace / "out" / "huge_estimates.csv").exists()
+
+
 class TestSweep:
     def test_outputs_and_shape(self, workspace):
         cfg = write_json(workspace / "cfg.json", base_config(
