@@ -270,10 +270,22 @@ def load_run_config(path) -> RunConfig:
         if not isinstance(raw["learners"], list) or not raw["learners"]:
             problems.append("learners: must be a non-empty list")
         else:
+            first_with = {}
             for i, entry in enumerate(raw["learners"]):
                 spec = _learner_from_entry(entry, f"learners[{i}]", problems)
-                if spec is not None:
-                    specs.append(spec)
+                if spec is None:
+                    continue
+                specs.append(spec)
+                # Reports name a learner by its label alone, so a repeated
+                # label would pool two learners' results.
+                if spec.label in first_with:
+                    problems.append(
+                        f"learners[{first_with[spec.label]}] and learners[{i}]: "
+                        f"both have the label '{spec.label}'; reports identify a learner "
+                        "by its label, so each regressor+propensity pair may appear once"
+                    )
+                else:
+                    first_with[spec.label] = i
             out["learners"] = tuple(specs)
 
     if "split" in raw:

@@ -7,6 +7,40 @@ Gini impurity reduction; leaves store the training mean or the raw
 class frequencies (which can be exactly zero, no smoothing).  Trees are
 seeded individually from the forest seed, so refitting with the same
 seed reproduces predictions bit for bit.
+
+Growth is lock-step.  Every tree keeps its own depth-first stack (the
+right child is popped first) and its own random generator.  A round pops
+the next node of every tree of a group and scores all of those nodes
+together on flat, segmented numpy arrays.  Each tree still visits its
+nodes in depth-first order, so it draws the same candidate features, and
+gets the same node numbers, splits and leaf values, as a tree grown
+alone, node by node.  Batching by depth instead could not be exact: the
+candidate features of a node are the k-th draw of its tree's generator,
+and k depends on the sizes of the subtrees grown before it.
+
+Scores are computed with the same floating-point operations, in the
+same order, as a per-node computation:
+
+- the rows of a node are kept in ascending bootstrap position; for a
+  candidate feature they are ordered by (value, position), which is the
+  order of a stable argsort of the node's values, by sorting one packed
+  int64 key per row made of (node, dense rank of the value, position);
+- a regression score needs each node's prefix sums accumulated from
+  zero; a prefix sum over all nodes at once minus each node's offset
+  differs in the last bits, so nodes are padded into rows of a 2-d array
+  (nodes within a factor two of each other in size share one) and
+  summed along the rows.  Class counts are integers, so one flat prefix
+  sum minus each node's offset is exact for classification;
+- a regression leaf is the mean of its targets in position order, which
+  numpy sums pairwise; leaves of one size are averaged as the rows of a
+  2-d array, which sums each row the same way;
+- the first best boundary of a feature wins, and a later candidate
+  feature replaces an earlier one only with a strictly larger score.
+
+Scores that overflow raise :class:`NonFinite`, so the comparisons never
+see NaN.  Work arrays hold at most about ``_BATCH_ROWS`` node rows at a
+time, and ``_GROUP_TREES`` trees share one set of bootstrap and position
+buffers, which bounds the memory a fit needs besides its trees.
 """
 
 from __future__ import annotations
@@ -18,8 +52,12 @@ import numpy as np
 from ..exceptions import MissingClass, NonFinite, ShapeMismatch
 from .base import validate_features
 
-
 _OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
+
+# Node rows gathered into one batch of scoring work, and trees grown
+# together in lock step.
+_BATCH_ROWS = 4096
+_GROUP_TREES = 100
 
 
 class _Tree:
@@ -45,125 +83,294 @@ class _Tree:
         return self.value[node]
 
 
-def _grow_tree(X, target, rng, max_depth, min_leaf, mtry, leaf_value, is_pure, split_score):
+def _segments(starts, sizes):
+    """Flat indices of the ranges [start, start + size), in order, and each range's offset."""
+    offsets = np.cumsum(sizes) - sizes
+    total = int(offsets[-1] + sizes[-1]) if sizes.size else 0
+    return np.arange(total) + np.repeat(starts - offsets, sizes), offsets
+
+
+def _dense_ranks(X):
+    """Rank of each value within its feature (ties share a rank), feature-major."""
     n, p = X.shape
-    feature, threshold, left, right, values = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        values.append(None)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(np.arange(n), 0, root)]
-    while stack:
-        idx, depth, slot = stack.pop()
-        node_target = target[idx]
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
-            or is_pure(node_target)
-        ):
-            values[slot] = leaf_value(node_target)
-            continue
-        best = None
-        for f in rng.permutation(p)[:mtry]:
-            xv = X[idx, f]
-            order = np.argsort(xv, kind="stable")
-            xs = xv[order]
-            scores = split_score(node_target[order])
-            # A boundary i splits [0, i) from [i, n); both sides must
-            # hold min_leaf rows and the feature value must change.
-            lo, hi = min_leaf, idx.size - min_leaf
-            if lo >= hi + 1:
-                continue
-            cand = np.arange(lo, hi + 1)
-            cand = cand[xs[cand - 1] < xs[cand]]
-            if cand.size == 0:
-                continue
-            s = scores[cand - 1]
-            j = int(np.argmax(s))
-            if best is None or s[j] > best[0]:
-                i = int(cand[j])
-                best = (float(s[j]), f, 0.5 * (xs[i - 1] + xs[i]))
-        if best is None:
-            values[slot] = leaf_value(node_target)
-            continue
-        _, f, thr = best
-        go_left = X[idx, f] <= thr
-        ls, rs = new_node(), new_node()
-        feature[slot] = int(f)
-        threshold[slot] = thr
-        left[slot] = ls
-        right[slot] = rs
-        stack.append((idx[go_left], depth + 1, ls))
-        stack.append((idx[~go_left], depth + 1, rs))
-
-    # Internal slots never feed predictions; fill them with zeros of the
-    # leaf-value shape so the array is rectangular.
-    proto = np.zeros_like(np.asarray(next(v for v in values if v is not None), dtype=float))
-    value_arr = np.asarray([v if v is not None else proto for v in values], dtype=float)
-    return _Tree(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=float),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        value_arr,
-    )
+    ranks = np.empty(p * n, dtype=np.int32)
+    n_ranks = 1
+    for f in range(p):
+        _, inverse = np.unique(X[:, f], return_inverse=True)
+        ranks[f * n:(f + 1) * n] = inverse
+        n_ranks = max(n_ranks, int(inverse.max()) + 1)
+    return ranks, n_ranks
 
 
-def _regression_kit():
-    def leaf_value(y):
-        with np.errstate(over="ignore"):
-            value = float(y.mean())
-        if not np.isfinite(value):
+def _prefix_sums_by_node(y, offsets, sizes):
+    """Prefix sums of y restarting from zero at each node, accumulated sequentially.
+
+    Each node is padded into a row of width 2**e, the smallest power of
+    two not below its size; the rows of one width form a 2-d block whose
+    cumsum runs along the rows.
+    """
+    width = 1 << np.frexp(sizes - 1)[1]
+    by_width = np.argsort(width, kind="stable")
+    row_start = np.empty_like(width)
+    row_start[by_width] = np.cumsum(width[by_width]) - width[by_width]
+    pad = np.zeros(int(width.sum()))
+    dest = np.arange(y.size) + np.repeat(row_start - offsets, sizes)
+    pad[dest] = y
+    w = width[by_width]
+    edges = np.r_[0, np.flatnonzero(np.diff(w)) + 1, w.size]
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        first = row_start[by_width[lo]]
+        block = pad[first:first + (hi - lo) * w[lo]].reshape(hi - lo, w[lo])
+        np.cumsum(block, axis=1, out=block)
+    return pad[dest]
+
+
+def _regression_scores(y, offsets, sizes, nl, n_rows):
+    # sum_L^2/n_L + sum_R^2/n_R at every boundary; maximising it
+    # maximises the variance reduction of the split.
+    sl = _prefix_sums_by_node(y, offsets, sizes)
+    total = np.repeat(sl[offsets + sizes - 1], sizes)
+    score = sl * sl / nl + (total - sl) ** 2 / (n_rows - nl)
+    # The last row of a node ends no boundary and scores 0/0; every
+    # other score is finite unless the sums overflowed.
+    if np.count_nonzero(np.isfinite(score)) != score.size - sizes.size:
+        raise NonFinite(_OVERFLOW)
+    return score
+
+
+def _classification_scores(labels, offsets, sizes, nl, n_rows, n_classes):
+    # sum_c count^2/n on each side; maximising it minimises the
+    # weighted Gini impurity of the children.
+    onehot = np.zeros((labels.size, n_classes))
+    onehot[np.arange(labels.size), labels.astype(np.intp)] = 1.0
+    cl = np.cumsum(onehot, axis=0)
+    before = np.zeros((sizes.size, n_classes))
+    before[1:] = cl[offsets[1:] - 1]
+    cl -= np.repeat(before, sizes, axis=0)
+    cr = np.repeat(cl[offsets + sizes - 1], sizes, axis=0) - cl
+    nr = (n_rows - nl)[:, None]
+    nl = nl[:, None]
+    return (cl * cl / nl).sum(axis=1) + (cr * cr / nr).sum(axis=1)
+
+
+def _interleave(a, b):
+    """[a0, b0, a1, b1, ...]: each split's left child, then its right child."""
+    out = np.empty(2 * a.size, dtype=np.result_type(a, b))
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+class _Group:
+    """Trees grown together in lock step, sharing one flat row buffer.
+
+    Tree i owns entries [i*n, (i+1)*n) of ``order``, which start as its
+    bootstrap sample in position order.  A node is a range of ``order``
+    holding its rows in ascending bootstrap position; a split rearranges
+    the range stably into its left rows, then its right rows.  Only
+    nodes that need a split search are pushed on a tree's stack: a node
+    that is a leaf by depth, size or purity is recorded when it is
+    created, which draws nothing from the generator, exactly as popping
+    it and closing it would.
+    """
+
+    def __init__(self, X, target, ranks, n_ranks, trees, seed, bootstrap,
+                 max_depth, min_leaf, n_classes):
+        n = X.shape[0]
+        self.X, self.target, self.ranks, self.n_ranks = X, target, ranks, n_ranks
+        self.max_depth, self.min_leaf, self.n_classes = max_depth, min_leaf, n_classes
+        self.mtry = _default_mtry(X.shape[1])
+        self.rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+                     for t in trees]
+        g = len(self.rngs)
+        self.order = np.empty(g * n, dtype=np.int32)
+        pure = np.empty(g, dtype=bool)
+        for i, rng in enumerate(self.rngs):
+            rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+            self.order[i * n:(i + 1) * n] = rows
+            pure[i] = np.ptp(target[rows]) == 0
+        # Per tree: a stack of (start, size, depth, node id), and the
+        # number of node ids handed out.
+        self.stacks = [[] for _ in range(g)]
+        self.n_nodes = np.ones(g, dtype=np.int32)
+        self.splits = []
+        self.leaves = []
+        tree = np.arange(g, dtype=np.int32)
+        self._place(tree, np.zeros_like(tree), tree * n, np.full_like(tree, n),
+                    np.zeros_like(tree), pure)
+
+    def grow(self):
+        while True:
+            live = [i for i, stack in enumerate(self.stacks) if stack]
+            if not live:
+                return self._trees()
+            batch, rows = [], 0
+            for i in live:
+                node = self.stacks[i].pop()
+                batch.append((i, *node))
+                rows += node[1]
+                if rows >= _BATCH_ROWS:
+                    self._round(batch)
+                    batch, rows = [], 0
+            if batch:
+                self._round(batch)
+
+    def _place(self, tree, node, start, size, depth, pure):
+        """Record the new nodes that are leaves; push the others on their trees' stacks."""
+        leaf = pure | (size < 2 * self.min_leaf)
+        if self.max_depth is not None:
+            leaf |= depth >= self.max_depth
+        self.leaves.append(np.stack([tree[leaf], node[leaf], start[leaf], size[leaf]]))
+        grow = ~leaf
+        for t, a, s, d, v in zip(tree[grow].tolist(), start[grow].tolist(), size[grow].tolist(),
+                                 depth[grow].tolist(), node[grow].tolist()):
+            self.stacks[t].append((a, s, d, v))
+
+    def _round(self, batch):
+        """Split one node of each tree in ``batch``, or close it as a leaf."""
+        tree, start, size, depth, node = np.array(list(zip(*batch)), dtype=np.int32)
+        p = self.X.shape[1]
+        feats = np.array([self.rngs[t].permutation(p)[:self.mtry] for t in tree.tolist()])
+        found, feat, thr = self._best_splits(start, size, feats)
+        closed = ~found
+        self.leaves.append(np.stack([tree[closed], node[closed], start[closed], size[closed]]))
+        if feat.size:
+            self._split(tree[found], start[found], size[found], depth[found], node[found], feat, thr)
+
+    def _best_splits(self, start, size, feats):
+        """Whether each node has a valid boundary, and its best feature and threshold."""
+        mtry = feats.shape[1]
+        n_entries = self.order.size
+        # Items are (node, candidate feature) pairs, node-major with the
+        # features in draw order.  A node's rows sit in position order in
+        # ``order``, so an entry's index there breaks ties of value.
+        item_feat = feats.ravel()
+        item_size = size.repeat(mtry)
+        idx, offsets = _segments(start.repeat(mtry), item_size)
+        rank = self.ranks[(item_feat * self.X.shape[0]).repeat(item_size) + self.order[idx]]
+        item_key = (np.arange(item_size.size) * (self.n_ranks * n_entries)).repeat(item_size)
+        key = rank * np.int64(n_entries)
+        key += idx
+        key += item_key
+        key.sort()
+        key -= item_key
+        rank, idx = np.divmod(key, n_entries)
+        rows = self.order[idx]
+        y = self.target[rows]
+
+        pos = np.arange(y.size)
+        nl = pos - offsets.repeat(item_size) + 1
+        n_rows = item_size.repeat(item_size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.n_classes is None:
+                score = _regression_scores(y, offsets, item_size, nl, n_rows)
+            else:
+                score = _classification_scores(y, offsets, item_size, nl, n_rows, self.n_classes)
+        # The boundary after row nl needs min_leaf rows on each side and
+        # a change of feature value across it.
+        valid = (nl >= self.min_leaf) & (nl <= n_rows - self.min_leaf)
+        valid[:-1] &= rank[:-1] < rank[1:]
+        score[~valid] = -np.inf
+        best = np.maximum.reduceat(score, offsets)
+        at = np.minimum.reduceat(np.where(score == best.repeat(item_size), pos, y.size), offsets)
+        # The first feature in draw order with the best score wins.
+        pick = np.argmax(best.reshape(-1, mtry), axis=1)
+        item = np.arange(pick.size) * mtry + pick
+        found = best[item] > -np.inf
+        item = item[found]
+        at, feat = at[item], item_feat[item]
+        thr = 0.5 * (self.X[rows[at], feat] + self.X[rows[at + 1], feat])
+        return found, feat, thr
+
+    def _split(self, tree, start, size, depth, node, feat, thr):
+        idx, offsets = _segments(start, size)
+        rows = self.order[idx]
+        go_left = self.X[rows, feat.repeat(size)] <= thr.repeat(size)
+        side = (np.arange(size.size, dtype=np.int64) * 2).repeat(size) + ~go_left
+        rows = rows[np.argsort(side, kind="stable")]
+        self.order[idx] = rows
+        n_left = np.add.reduceat(go_left, offsets, dtype=np.int32)
+        left = self.n_nodes[tree]
+        self.n_nodes[tree] += 2
+        self.splits.append((np.stack([tree, node, feat.astype(np.int32), left]), thr))
+        # The children's purity, from their targets; a child without
+        # rows is a leaf by size, so its reduction is never read.
+        y = self.target[rows]
+        child_offsets = np.minimum(_interleave(offsets, offsets + n_left), y.size - 1)
+        pure = np.maximum.reduceat(y, child_offsets) == np.minimum.reduceat(y, child_offsets)
+        self._place(tree.repeat(2), _interleave(left, left + 1), _interleave(start, start + n_left),
+                    _interleave(n_left, size - n_left), (depth + 1).repeat(2), pure)
+
+    def _leaf_values(self, start, size):
+        """Mean target (regression) or class frequencies of each leaf.
+
+        Leaves of one size are reduced together as the rows of a 2-d
+        array, which numpy sums exactly as it sums a single leaf.
+        """
+        k = self.n_classes
+        values = np.empty(size.size if k is None else (size.size, k))
+        by_size = np.argsort(size, kind="stable")
+        edges = np.flatnonzero(np.diff(size[by_size])) + 1
+        for group in np.split(by_size, edges):
+            s = int(size[group[0]])
+            step = max(1, _BATCH_ROWS // max(s, 1))
+            for i in range(0, group.size, step):
+                sel = group[i:i + step]
+                y = self.target[self.order[(start[sel, None] + np.arange(s)).ravel()]]
+                y = y.reshape(sel.size, s)
+                if k is None:
+                    values[sel] = y.mean(axis=1)
+                else:
+                    cell = np.arange(sel.size)[:, None] * k + y.astype(np.intp)
+                    values[sel] = np.bincount(cell.ravel(), minlength=sel.size * k).reshape(-1, k) / s
+        if k is None and not np.all(np.isfinite(values)):
             raise NonFinite(_OVERFLOW)
-        return value
+        return values
 
-    def is_pure(y):
-        return y.max() == y.min()
+    def _trees(self):
+        counts = self.n_nodes.astype(np.int64)
+        base = np.cumsum(counts) - counts
+        total = int(counts.sum())
+        tree, node, start, size = np.concatenate(self.leaves, axis=1)
+        leaf_at = base[tree] + node
+        leaf_values = self._leaf_values(start, size)
+        # The growth buffers are done with; release them before the
+        # trees' own arrays are allocated.
+        self.order = self.leaves = None
+        feature = np.full(total, -1, dtype=np.int32)
+        threshold = np.zeros(total)
+        left = np.full(total, -1, dtype=np.int32)
+        right = np.full(total, -1, dtype=np.int32)
+        value = np.zeros(total if self.n_classes is None else (total, self.n_classes))
+        value[leaf_at] = leaf_values
+        if self.splits:
+            tree, node, feat, child = np.concatenate([rec for rec, _ in self.splits], axis=1)
+            at = base[tree] + node
+            feature[at] = feat
+            threshold[at] = np.concatenate([thr for _, thr in self.splits])
+            left[at] = child
+            right[at] = child + 1
+        return [
+            _Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+            for a, b in zip(base.tolist(), (base + counts).tolist())
+        ]
 
-    def split_score(y_sorted):
-        # sum_L^2/n_L + sum_R^2/n_R at every boundary; maximising it
-        # maximises the variance reduction of the split.
-        n = y_sorted.size
-        with np.errstate(over="ignore", invalid="ignore"):
-            csum = np.cumsum(y_sorted)
-            total = csum[-1]
-            nl = np.arange(1, n)
-            sl = csum[:-1]
-            scores = sl * sl / nl + (total - sl) ** 2 / (n - nl)
-        if not np.all(np.isfinite(scores)):
-            raise NonFinite(_OVERFLOW)
-        return scores
 
-    return leaf_value, is_pure, split_score
-
-
-def _classification_kit(n_classes):
-    def leaf_value(y):
-        return np.bincount(y.astype(int), minlength=n_classes) / y.size
-
-    def is_pure(y):
-        return y.max() == y.min()
-
-    def split_score(y_sorted):
-        # sum_c count^2/n on each side; maximising it minimises the
-        # weighted Gini impurity of the children.
-        n = y_sorted.size
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_sorted.astype(int)] = 1.0
-        ccum = np.cumsum(onehot, axis=0)
-        total = ccum[-1]
-        nl = np.arange(1, n)[:, None]
-        cl = ccum[:-1]
-        cr = total - cl
-        return (cl * cl / nl).sum(axis=1) + (cr * cr / (n - nl)).sum(axis=1)
-
-    return leaf_value, is_pure, split_score
+def _grow_forest(X, target, n_trees, seed, bootstrap, max_depth, min_leaf, n_classes=None):
+    n, p = X.shape
+    mtry = _default_mtry(p)
+    ranks, n_ranks = _dense_ranks(X)
+    # Sort keys pack (item, rank, slot) into an int64: a group of g trees
+    # has at most g * mtry items and g * n slots.
+    group = _GROUP_TREES
+    while group > 1 and group * mtry * n_ranks * group * n >= 2**63:
+        group //= 2
+    trees = []
+    for first in range(0, n_trees, group):
+        members = range(first, min(first + group, n_trees))
+        trees.extend(_Group(X, target, ranks, n_ranks, members, seed, bootstrap,
+                            max_depth, min_leaf, n_classes).grow())
+    return trees
 
 
 def _default_mtry(p: int) -> int:
@@ -201,16 +408,6 @@ class ForestClassifierFit:
         return out / len(self.trees)
 
 
-def _bootstrap_trees(X, target, n_trees, seed, grow, bootstrap):
-    trees = []
-    n = X.shape[0]
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        bidx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(grow(X[bidx], target[bidx], rng))
-    return trees
-
-
 def fit_forest_regressor(
     X,
     y,
@@ -228,15 +425,8 @@ def fit_forest_regressor(
         raise NonFinite("y contains non-finite values")
     if n_trees < 1 or min_leaf < 1:
         raise ValueError("n_trees and min_leaf must be >= 1")
-    leaf_value, is_pure, split_score = _regression_kit()
-    mtry = _default_mtry(X.shape[1])
-
-    def grow(Xb, yb, rng):
-        return _grow_tree(Xb, yb, rng, max_depth, min_leaf, mtry, leaf_value, is_pure, split_score)
-
-    return ForestRegressorFit(
-        trees=_bootstrap_trees(X, y, n_trees, seed, grow, bootstrap), p=X.shape[1]
-    )
+    trees = _grow_forest(X, y, n_trees, seed, bootstrap, max_depth, min_leaf)
+    return ForestRegressorFit(trees=trees, p=X.shape[1])
 
 
 def fit_forest_classifier(
@@ -263,14 +453,6 @@ def fit_forest_classifier(
         raise MissingClass(f"classes absent from the training labels: {missing}")
     if n_trees < 1 or min_leaf < 1:
         raise ValueError("n_trees and min_leaf must be >= 1")
-    leaf_value, is_pure, split_score = _classification_kit(k)
-    mtry = _default_mtry(X.shape[1])
-
-    def grow(Xb, yb, rng):
-        return _grow_tree(Xb, yb, rng, max_depth, min_leaf, mtry, leaf_value, is_pure, split_score)
-
-    return ForestClassifierFit(
-        trees=_bootstrap_trees(X, labels.astype(float), n_trees, seed, grow, bootstrap),
-        p=X.shape[1],
-        n_classes=k,
-    )
+    trees = _grow_forest(X, labels.astype(float), n_trees, seed, bootstrap, max_depth,
+                         min_leaf, n_classes=k)
+    return ForestClassifierFit(trees=trees, p=X.shape[1], n_classes=k)

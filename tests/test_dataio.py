@@ -129,6 +129,18 @@ class TestRunConfig:
         text = str(err.value)
         assert "split" in text and "propensity_floor" in text and "surprise" in text
 
+    def test_repeated_learner_label(self, tmp_path):
+        forest = {"regressor": "forest", "propensity": "forest"}
+        cfg_path = write(
+            tmp_path, "cfg.json",
+            json.dumps({"learners": [
+                dict(forest, n_trees=2), {"regressor": "lasso", "propensity": "logistic"},
+                dict(forest, n_trees=5),
+            ]}),
+        )
+        with pytest.raises(ConfigError, match=r"learners\[0\] and learners\[2\].*forest\+forest"):
+            load_run_config(cfg_path)
+
     def test_invalid_json(self, tmp_path):
         with pytest.raises(ConfigError, match="JSON"):
             load_run_config(write(tmp_path, "cfg.json", "{nope"))
