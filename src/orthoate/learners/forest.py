@@ -8,39 +8,42 @@ class frequencies (which can be exactly zero, no smoothing).  Trees are
 seeded individually from the forest seed, so refitting with the same
 seed reproduces predictions bit for bit.
 
-Growth is lock-step.  Every tree keeps its own depth-first stack (the
-right child is popped first) and its own random generator.  A round pops
-the next node of every tree of a group and scores all of those nodes
-together on flat, segmented numpy arrays.  Each tree still visits its
-nodes in depth-first order, so it draws the same candidate features, and
-gets the same node numbers, splits and leaf values, as a tree grown
-alone, node by node.  Batching by depth instead could not be exact: the
-candidate features of a node are the k-th draw of its tree's generator,
-and k depends on the sizes of the subtrees grown before it.
+Trees are grown in lock step.  Every tree keeps its own depth-first
+stack (the right child is popped first) and its own random generator.
+A round pops the next node of every tree of a group and scores all of
+those nodes together on flat, segmented numpy arrays.  Each tree still
+visits its nodes in depth-first order, so it draws the same candidate
+features, and gets the same node numbers, splits and leaf values, as a
+tree grown alone, node by node.  Batching by depth instead could not be
+exact: the candidate features of a node are the k-th draw of its
+tree's generator, and k depends on the sizes of the subtrees grown
+before it.  A node that is a leaf by depth, size or purity draws
+nothing, so it is recorded when its parent splits and never enters a
+round.
 
-Scores are computed with the same floating-point operations, in the
-same order, as a per-node computation:
+Scores use the same floating-point operations, in the same order, as a
+per-node computation:
 
-- the rows of a node are kept in ascending bootstrap position; for a
-  candidate feature they are ordered by (value, position), which is the
-  order of a stable argsort of the node's values, by sorting one packed
-  int64 key per row made of (node, dense rank of the value, position);
+- a node's rows are kept in ascending bootstrap position; for a
+  candidate feature they are ordered by (value, position), the order a
+  stable argsort of the node's values gives, by sorting one int64 key
+  per row packed from (node, dense rank of the value, position);
 - a regression score needs each node's prefix sums accumulated from
-  zero; a prefix sum over all nodes at once minus each node's offset
-  differs in the last bits, so nodes are padded into rows of a 2-d array
-  (nodes within a factor two of each other in size share one) and
-  summed along the rows.  Class counts are integers, so one flat prefix
-  sum minus each node's offset is exact for classification;
+  zero.  A prefix sum over all nodes at once minus each node's offset
+  differs in the last bits, so nodes are padded into the rows of 2-d
+  blocks (nodes within a factor two of each other in size share one)
+  and summed along the rows.  Class counts are integers, so one prefix
+  sum over all nodes minus each node's offset is exact;
 - a regression leaf is the mean of its targets in position order, which
   numpy sums pairwise; leaves of one size are averaged as the rows of a
   2-d array, which sums each row the same way;
 - the first best boundary of a feature wins, and a later candidate
   feature replaces an earlier one only with a strictly larger score.
 
-Scores that overflow raise :class:`NonFinite`, so the comparisons never
-see NaN.  Work arrays hold at most about ``_BATCH_ROWS`` node rows at a
-time, and ``_GROUP_TREES`` trees share one set of bootstrap and position
-buffers, which bounds the memory a fit needs besides its trees.
+Scores or leaf means that overflow raise :class:`NonFinite`, so the
+comparisons never see NaN.  A round holds about ``_BATCH_ROWS`` node
+rows at most, and ``_GROUP_TREES`` trees share one row buffer, which
+bounds the memory a fit needs besides its trees.
 """
 
 from __future__ import annotations
@@ -86,8 +89,7 @@ class _Tree:
 def _segments(starts, sizes):
     """Flat indices of the ranges [start, start + size), in order, and each range's offset."""
     offsets = np.cumsum(sizes) - sizes
-    total = int(offsets[-1] + sizes[-1]) if sizes.size else 0
-    return np.arange(total) + np.repeat(starts - offsets, sizes), offsets
+    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), offsets
 
 
 def _dense_ranks(X):
@@ -140,17 +142,25 @@ def _regression_scores(y, offsets, sizes, nl, n_rows):
 
 def _classification_scores(labels, offsets, sizes, nl, n_rows, n_classes):
     # sum_c count^2/n on each side; maximising it minimises the
-    # weighted Gini impurity of the children.
-    onehot = np.zeros((labels.size, n_classes))
-    onehot[np.arange(labels.size), labels.astype(np.intp)] = 1.0
-    cl = np.cumsum(onehot, axis=0)
-    before = np.zeros((sizes.size, n_classes))
-    before[1:] = cl[offsets[1:] - 1]
-    cl -= np.repeat(before, sizes, axis=0)
-    cr = np.repeat(cl[offsets + sizes - 1], sizes, axis=0) - cl
-    nr = (n_rows - nl)[:, None]
-    nl = nl[:, None]
-    return (cl * cl / nl).sum(axis=1) + (cr * cr / nr).sum(axis=1)
+    # weighted Gini impurity of the children.  Counts are kept
+    # class-major, one row per class.
+    cl = (labels == np.arange(n_classes)[:, None]).cumsum(axis=1, dtype=np.float64)
+    before = np.zeros((n_classes, sizes.size))
+    before[:, 1:] = cl[:, offsets[1:] - 1]
+    cl -= before.repeat(sizes, axis=1)
+    cr = cl[:, offsets + sizes - 1].repeat(sizes, axis=1)
+    cr -= cl
+    cl *= cl
+    cl /= nl
+    cr *= cr
+    cr /= n_rows - nl
+    # A boundary's per-class terms are summed as one row of n_classes
+    # numbers.  numpy adds fewer than 8 numbers in order, which adding
+    # the class rows in order reproduces; longer rows it sums pairwise,
+    # so those are summed as rows.
+    if n_classes < 8:
+        return cl.sum(axis=0) + cr.sum(axis=0)
+    return np.ascontiguousarray(cl.T).sum(axis=1) + np.ascontiguousarray(cr.T).sum(axis=1)
 
 
 def _interleave(a, b):
@@ -188,7 +198,7 @@ class _Group:
         for i, rng in enumerate(self.rngs):
             rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
             self.order[i * n:(i + 1) * n] = rows
-            pure[i] = np.ptp(target[rows]) == 0
+            pure[i] = target[rows].max() == target[rows].min()
         # Per tree: a stack of (start, size, depth, node id), and the
         # number of node ids handed out.
         self.stacks = [[] for _ in range(g)]
@@ -229,9 +239,12 @@ class _Group:
     def _round(self, batch):
         """Split one node of each tree in ``batch``, or close it as a leaf."""
         tree, start, size, depth, node = np.array(list(zip(*batch)), dtype=np.int32)
-        p = self.X.shape[1]
-        feats = np.array([self.rngs[t].permutation(p)[:self.mtry] for t in tree.tolist()])
-        found, feat, thr = self._best_splits(start, size, feats)
+        # Each node's candidate features: rng.permutation(p)[:mtry],
+        # which shuffles arange(p) in place.
+        perms = np.tile(np.arange(self.X.shape[1]), (tree.size, 1))
+        for t, perm in zip(tree.tolist(), perms):
+            self.rngs[t].shuffle(perm)
+        found, feat, thr = self._best_splits(start, size, perms[:, :self.mtry])
         closed = ~found
         self.leaves.append(np.stack([tree[closed], node[closed], start[closed], size[closed]]))
         if feat.size:
@@ -286,7 +299,8 @@ class _Group:
         idx, offsets = _segments(start, size)
         rows = self.order[idx]
         go_left = self.X[rows, feat.repeat(size)] <= thr.repeat(size)
-        side = (np.arange(size.size, dtype=np.int64) * 2).repeat(size) + ~go_left
+        # Small sort keys: numpy sorts 16-bit integers stably by radix.
+        side = (np.arange(size.size, dtype=np.int16) * 2).repeat(size) + ~go_left
         rows = rows[np.argsort(side, kind="stable")]
         self.order[idx] = rows
         n_left = np.add.reduceat(go_left, offsets, dtype=np.int32)
@@ -360,8 +374,8 @@ def _grow_forest(X, target, n_trees, seed, bootstrap, max_depth, min_leaf, n_cla
     n, p = X.shape
     mtry = _default_mtry(p)
     ranks, n_ranks = _dense_ranks(X)
-    # Sort keys pack (item, rank, slot) into an int64: a group of g trees
-    # has at most g * mtry items and g * n slots.
+    # Sort keys pack (item, rank, entry) into an int64: a group of g
+    # trees scores at most g * mtry items over g * n row entries.
     group = _GROUP_TREES
     while group > 1 and group * mtry * n_ranks * group * n >= 2**63:
         group //= 2

@@ -75,6 +75,18 @@ def test_trees_equal_reference(problem):
     assert_same_trees(fit.trees, want)
 
 
+def test_many_classes_equal_reference():
+    # From 8 classes on, numpy sums a boundary's per-class terms
+    # pairwise; deep trees on continuous features meet boundaries where
+    # that order decides the split.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(800, 2))
+    d = np.r_[np.arange(9), rng.integers(0, 9, size=791)]
+    params = dict(n_trees=2, max_depth=None, min_leaf=1, seed=0, bootstrap=True)
+    fit = fit_forest_classifier(X, d, n_classes=9, **params)
+    assert_same_trees(fit.trees, reference_trees(X, d.astype(float), n_classes=9, **params))
+
+
 @pytest.mark.parametrize("max_depth", [1, 2])
 def test_large_leaves_equal_reference(max_depth):
     # Leaves of several hundred rows take numpy's recursive pairwise
