@@ -374,10 +374,11 @@ def _grow_forest(X, target, n_trees, seed, bootstrap, max_depth, min_leaf, n_cla
     n, p = X.shape
     mtry = _default_mtry(p)
     ranks, n_ranks = _dense_ranks(X)
-    # Sort keys pack (item, rank, entry) into an int64: a group of g
-    # trees scores at most g * mtry items over g * n row entries.
+    # A group of g trees keeps g * n row entries, indexed by int32, and
+    # packs (item, rank, entry) sort keys for at most g * mtry items
+    # into an int64.
     group = _GROUP_TREES
-    while group > 1 and group * mtry * n_ranks * group * n >= 2**63:
+    while group > 1 and (group * n >= 2**31 or group * mtry * n_ranks * group * n >= 2**63):
         group //= 2
     trees = []
     for first in range(0, n_trees, group):
