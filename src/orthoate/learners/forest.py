@@ -231,9 +231,10 @@ class _Group:
         if self.max_depth is not None:
             leaf |= depth >= self.max_depth
         self.leaves.append(np.stack([tree[leaf], node[leaf], start[leaf], size[leaf]]))
-        grow = ~leaf
-        for t, a, s, d, v in zip(tree[grow].tolist(), start[grow].tolist(), size[grow].tolist(),
-                                 depth[grow].tolist(), node[grow].tolist()):
+        pending = ~leaf
+        for t, a, s, d, v in zip(tree[pending].tolist(), start[pending].tolist(),
+                                 size[pending].tolist(), depth[pending].tolist(),
+                                 node[pending].tolist()):
             self.stacks[t].append((a, s, d, v))
 
     def _round(self, batch):

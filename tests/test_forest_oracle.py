@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoate import fit_forest_classifier, fit_forest_regressor
+from orthoate.learners.forest import _GROUP_TREES
 
 from forest_reference import reference_trees
 
@@ -85,6 +86,14 @@ def test_many_classes_equal_reference():
     params = dict(n_trees=2, max_depth=None, min_leaf=1, seed=0, bootstrap=True)
     fit = fit_forest_classifier(X, d, n_classes=9, **params)
     assert_same_trees(fit.trees, reference_trees(X, d.astype(float), n_classes=9, **params))
+
+
+def test_forest_larger_than_one_lockstep_group():
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(size=(60, 2)), 1)
+    y = X[:, 0] + rng.normal(size=60)
+    params = dict(n_trees=_GROUP_TREES + 3, max_depth=None, min_leaf=2, seed=3, bootstrap=True)
+    assert_same_trees(fit_forest_regressor(X, y, **params).trees, reference_trees(X, y, **params))
 
 
 @pytest.mark.parametrize("max_depth", [1, 2])
