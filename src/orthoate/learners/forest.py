@@ -74,15 +74,18 @@ class _Tree:
         self.value = value
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
+        # Node links are stored as int32; gathers run faster on indices
+        # of the platform type, so widen them once per call.
+        feature, left, right = (a.astype(np.intp) for a in (self.feature, self.left, self.right))
+        node = np.zeros(X.shape[0], dtype=np.intp)
         while True:
-            feat = self.feature[node]
+            feat = feature[node]
             rows = np.nonzero(feat >= 0)[0]
             if rows.size == 0:
                 break
             cur = node[rows]
             go_left = X[rows, feat[rows]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
+            node[rows] = np.where(go_left, left[cur], right[cur])
         return self.value[node]
 
 
