@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import RunConfig, load_csv_dataset, load_run_config, save_csv_dataset, write_report
+from .dataio import RunConfig, config_problem, load_csv_dataset, load_run_config
+from .dataio import save_csv_dataset, write_report
 from .estimators import make_split, pairwise_from_theta, relative_ate_error
 from .exceptions import ConfigError, OrthoError
 from .gateaux import check_orthogonality
@@ -65,21 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     changes = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
-        changes["seed"] = args.seed
+    # Flags that stand for config keys obey the same rules as the keys.
+    for key in ("seed", "propensity_floor"):
+        value = getattr(args, key, None)
+        if value is not None:
+            problem = config_problem("config", key, value, "--" + key.replace("_", "-"))
+            if problem:
+                raise ConfigError(problem)
+            changes[key] = value
     if args.out is not None:
         changes["output_dir"] = args.out
     if getattr(args, "format", None) is not None:
         changes["output_format"] = args.format
     if getattr(args, "filter_infinite", None):
         changes["filter_infinite"] = True
-    floor = getattr(args, "propensity_floor", None)
-    if floor is not None:
-        if not 0.0 <= floor < 0.5:
-            raise ConfigError(f"--propensity-floor must lie in [0, 0.5), got {floor}")
-        changes["propensity_floor"] = floor
     return replace(cfg, **changes) if changes else cfg
 
 
@@ -215,11 +215,16 @@ def _estimate_summary(cfg: RunConfig, errors: list) -> dict:
     }
 
 
+def _console_number(x: float) -> str:
+    """Four decimals, or four significant digits once the magnitude reaches 1e6."""
+    return f"{x:.4f}" if abs(x) < 1e6 else f"{x:.4e}"
+
+
 def _print_summary(summary: dict) -> None:
     print(f"{'learner':<18} {'estimator':<10} {'eps_ate':>12} {'R_dr':>8} {'R_dml':>8}")
     for row in summary["rows"]:
         eps = row["eps_ate"]
-        eps_s = f"{eps:.4f}" if np.isfinite(eps) else "inf"
+        eps_s = _console_number(eps) if np.isfinite(eps) else "inf"
         r_dr = f"{row['R_dr']:.3f}" if isinstance(row["R_dr"], float) else str(row["R_dr"])
         r_dml = f"{row['R_dml']:.3f}" if isinstance(row["R_dml"], float) else str(row["R_dml"])
         print(f"{row['learner']:<18} {row['estimator']:<10} {eps_s:>12} {r_dr:>8} {r_dml:>8}")
@@ -263,10 +268,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     print(f"wrote {summary_path}")
     for row in payload["summary"]:
         eps = row["eps_ate"]
-        eps_s = f"{eps:.4f}" if np.isfinite(eps) else "inf"
+        eps_s = _console_number(eps) if np.isfinite(eps) else "inf"
         print(
             f"{kind}={row['grid_value']:<8} {row['learner']:<18} "
-            f"{row['estimator']:<10} eps_ate={eps_s} median={row['median']:.4f}"
+            f"{row['estimator']:<10} eps_ate={eps_s} median={_console_number(row['median'])}"
         )
     return 0
 
@@ -277,7 +282,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError("verify.rk_pairs must list at least one (r, k) pair")
     sim = cfg.sim
     model = SimConfig(
-        Q=max(sim.Q, 10), p=sim.p, r_c=sim.r_c, M=1,
+        Q=sim.Q, p=sim.p, r_c=sim.r_c, M=1,
         n_treatments=sim.n_treatments, master_seed=cfg.seed,
     ).model()
     failed = False
@@ -346,9 +351,6 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args)
         return cmd_verify(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OrthoError as exc:

@@ -18,14 +18,15 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import Dataset
-from .exceptions import ConfigError, ParseError, SchemaError
-from .learners import LearnerSpec
-from .simulation import SWEEP_KINDS, EstimatorSpec
+from .exceptions import ConfigError, InvalidOrder, OrthoError, ParseError, SchemaError
+from .learners import PROPENSITY_MODELS, REGRESSORS, LearnerSpec
+from .score import _validate_orders
+from .simulation import EstimatorSpec
 
 SCHEMA_VERSION = 1
 
@@ -179,236 +180,185 @@ class RunConfig:
     verify: VerifySettings = VerifySettings()
 
 
-_TOP_KEYS = {
-    "schema_version", "seed", "datasets", "n_treatments", "estimators", "learners",
-    "split", "propensity_floor", "filter_infinite", "moments_from", "truth_from",
-    "output", "simulation", "sweep", "verify",
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(lo):
+    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+
+
+def _number(test, bounds):
+    def check(v):
+        return (_is_int(v) or (isinstance(v, float) and math.isfinite(v))) and test(v)
+    return check, f"a number {bounds}"
+
+
+def _nullable(rule):
+    return (lambda v: v is None or rule[0](v)), f"null or {rule[1]}"
+
+
+def _choice(*options):
+    quoted = list(map(json.dumps, options))
+    text = f"{', '.join(quoted[:-1])} or {quoted[-1]}"
+    return (lambda v: isinstance(v, str) and v in options), text
+
+
+def _list_of(rule, items, non_empty=True):
+    text = f"a {'non-empty ' if non_empty else ''}list of {items}"
+    return (lambda v: isinstance(v, list) and (v or not non_empty) and all(map(rule[0], v))), text
+
+
+_OBJECT = (lambda v: isinstance(v, dict)), "an object"
+_STRING = (lambda v: isinstance(v, str)), "a string"
+_BOOL = (lambda v: isinstance(v, bool)), "true or false"
+_PAIR = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))), "an [r, k] pair"
+_POSITIVE = _number(lambda v: v > 0, "> 0")
+_NON_NEGATIVE = _number(lambda v: v >= 0, ">= 0")
+_SHARE = _number(lambda v: 0 < v <= 1, "in (0, 1]")
+
+# One rule per key of each config section: a predicate and what the value
+# "must be".  Rules that tie several keys together follow load_run_config.
+CONFIG_RULES = {
+    "config": {
+        "schema_version": ((lambda v: _is_int(v) and v == SCHEMA_VERSION), f"{SCHEMA_VERSION}"),
+        "seed": _integer(0),
+        "datasets": _list_of(_STRING, "path strings", non_empty=False),
+        "n_treatments": _nullable(_integer(2)),
+        "propensity_floor": _number(lambda v: 0 <= v < 0.5, "in [0, 0.5)"),
+        "filter_infinite": _BOOL,
+        "moments_from": _choice("estimation", "training"),
+        "truth_from": _choice("estimation", "full"),
+        "estimators": _list_of(_OBJECT, "objects"), "learners": _list_of(_OBJECT, "objects"),
+        "split": _OBJECT, "output": _OBJECT, "simulation": _OBJECT, "sweep": _OBJECT,
+        "verify": _OBJECT,
+    },
+    "estimators": {
+        "kind": _choice("dr", "dml", "higher_order"),
+        "r": _nullable((_is_int, "an integer")), "k": _nullable((_is_int, "an integer")),
+        "R": _integer(1),
+    },
+    "learners": {
+        "regressor": _choice(*REGRESSORS), "propensity": _choice(*PROPENSITY_MODELS),
+        "lasso_grid": _list_of(_NON_NEGATIVE, "numbers >= 0"), "logistic_l2": _NON_NEGATIVE,
+        "n_trees": _integer(1), "max_depth": _nullable(_integer(0)), "min_leaf": _integer(1),
+    },
+    "split": {"train": _POSITIVE, "valid": _POSITIVE, "test": _POSITIVE},
+    "output": {"dir": _STRING, "format": _choice("csv", "json")},
+    "simulation": {
+        "Q": _integer(10), "p": _integer(1), "r_c": _SHARE, "M": _integer(1),
+        "n_treatments": _integer(2), "propensity_noise_sd": _NON_NEGATIVE,
+    },
+    "sweep": {
+        "samplesize": _list_of(_integer(10), "integers >= 10"),
+        "dimension": _list_of(_integer(1), "integers >= 1"),
+        "confounding": _list_of(_SHARE, "numbers in (0, 1]"),
+    },
+    "verify": {
+        "rk_pairs": _list_of(_PAIR, "[r, k] integer pairs", non_empty=False),
+        "include_dml": _BOOL, "dml_max_order": _integer(0), "order": _integer(1),
+        "epsilon": _POSITIVE, "n_draws": _integer(100), "n_moment_sequences": _integer(0),
+        "pi": _number(lambda v: 0 < v < 1, "in (0, 1)"), "tolerance": _POSITIVE,
+    },
 }
 
 
-def _check_keys(section: dict, allowed, where: str, problems: list) -> None:
-    for key in section:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key '{key}'")
+def config_problem(section: str, key: str, value, where: str) -> str | None:
+    """The problem line for ``value`` under its rule in ``CONFIG_RULES``, or None."""
+    rule = CONFIG_RULES[section].get(key)
+    if rule is None:
+        return f"{where}: unknown key"
+    test, text = rule
+    return None if test(value) else f"{where}: must be {text}, got {json.dumps(value)}"
 
 
-def _estimator_from_entry(entry: dict, where: str, problems: list):
-    if not isinstance(entry, dict):
-        problems.append(f"{where}: must be an object with a 'kind' key")
+def _frozen(value):
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def _checked(section: str, raw: dict, where: str, problems: list) -> dict:
+    """The values of ``raw`` that pass their rules, lists made tuples; the rest are problems."""
+    good = {}
+    for key, value in raw.items():
+        problem = config_problem(section, key, value, f"{where}.{key}" if where else key)
+        if problem:
+            problems.append(problem)
+        else:
+            good[key] = _frozen(value)
+    return good
+
+
+def _section(section: str, raw: dict, where: str, problems: list, build):
+    """Check one config object against its rules, then build it; None after any problem."""
+    before = len(problems)
+    values = _checked(section, raw, where, problems)
+    if len(problems) > before:
         return None
-    _check_keys(entry, {"kind", "r", "k", "R"}, where, problems)
     try:
-        return EstimatorSpec(
-            kind=entry.get("kind", ""),
-            r=entry.get("r"),
-            k=entry.get("k"),
-            R=int(entry.get("R", 100)),
-        )
-    except Exception as exc:  # collected, not raised, so all problems surface at once
+        return build(**values)
+    except OrthoError as exc:  # collected, not raised, so all problems surface at once
         problems.append(f"{where}: {exc}")
         return None
 
 
-def _learner_from_entry(entry: dict, where: str, problems: list):
-    if not isinstance(entry, dict):
-        problems.append(f"{where}: must be an object of learner options")
-        return None
-    allowed = {f.name for f in fields(LearnerSpec)}
-    _check_keys(entry, allowed, where, problems)
-    try:
-        kwargs = dict(entry)
-        if "lasso_grid" in kwargs:
-            kwargs["lasso_grid"] = tuple(kwargs["lasso_grid"])
-        return LearnerSpec(**kwargs)
-    except Exception as exc:
-        problems.append(f"{where}: {exc}")
-        return None
+# Nested section -> (RunConfig field, builder); a list section holds one object per entry.
+_SECTIONS = {
+    "estimators": ("estimators", EstimatorSpec), "learners": ("learners", LearnerSpec),
+    "split": ("split", lambda train=0.56, valid=0.14, test=0.30: (train, valid, test)),
+    "output": ("output", dict), "simulation": ("sim", SimSettings),
+    "sweep": ("sweep_grids", dict), "verify": ("verify", VerifySettings),
+}
 
 
 def load_run_config(path) -> RunConfig:
     """Parse and validate a JSON run config, reporting every violation at once."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     problems: list = []
-    _check_keys(raw, _TOP_KEYS, "config", problems)
-    out: dict = {}
+    out = _checked("config", raw, "", problems)
+    out.pop("schema_version", None)
+    for name, (field, build) in _SECTIONS.items():
+        value = out.pop(name, None)
+        if isinstance(value, dict):
+            out[field] = _section(name, value, name, problems, build)
+        elif value is not None:
+            # An estimator without a kind is reported like one with a null kind.
+            required = {"kind": None} if build is EstimatorSpec else {}
+            out[field] = tuple(
+                _section(name, {**required, **entry}, f"{name}[{i}]", problems, build)
+                for i, entry in enumerate(value)
+            )
+    for key, value in (out.pop("output", None) or {}).items():
+        out[f"output_{key}"] = value
 
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        problems.append(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-
-    datasets = raw.get("datasets", [])
-    if not isinstance(datasets, list) or not all(isinstance(x, str) for x in datasets):
-        problems.append("datasets: must be a list of paths")
-    else:
-        out["datasets"] = tuple(datasets)
-
-    if "n_treatments" in raw and raw["n_treatments"] is not None:
-        if not isinstance(raw["n_treatments"], int) or raw["n_treatments"] < 2:
-            problems.append("n_treatments: must be an integer >= 2")
-        else:
-            out["n_treatments"] = raw["n_treatments"]
-
-    if "estimators" in raw:
-        specs = []
-        if not isinstance(raw["estimators"], list) or not raw["estimators"]:
-            problems.append("estimators: must be a non-empty list")
-        else:
-            for i, entry in enumerate(raw["estimators"]):
-                spec = _estimator_from_entry(entry, f"estimators[{i}]", problems)
-                if spec is not None:
-                    specs.append(spec)
-            out["estimators"] = tuple(specs)
-
-    if "learners" in raw:
-        specs = []
-        if not isinstance(raw["learners"], list) or not raw["learners"]:
-            problems.append("learners: must be a non-empty list")
-        else:
-            first_with = {}
-            for i, entry in enumerate(raw["learners"]):
-                spec = _learner_from_entry(entry, f"learners[{i}]", problems)
-                if spec is None:
-                    continue
-                specs.append(spec)
-                # Reports name a learner by its label alone, so a repeated
-                # label would pool two learners' results.
-                if spec.label in first_with:
-                    problems.append(
-                        f"learners[{first_with[spec.label]}] and learners[{i}]: "
-                        f"both have the label '{spec.label}'; reports identify a learner "
-                        "by its label, so each regressor+propensity pair may appear once"
-                    )
-                else:
-                    first_with[spec.label] = i
-            out["learners"] = tuple(specs)
-
-    if "split" in raw:
-        sec = raw["split"]
-        if not isinstance(sec, dict):
-            problems.append("split: must be an object with train/valid/test")
-        else:
-            _check_keys(sec, {"train", "valid", "test"}, "split", problems)
-            ratios = (sec.get("train", 0.56), sec.get("valid", 0.14), sec.get("test", 0.30))
-            try:
-                ratios = tuple(float(r) for r in ratios)
-                if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-                    raise ValueError
-                out["split"] = ratios
-            except (TypeError, ValueError):
-                problems.append(f"split: ratios must be positive and sum to 1, got {ratios}")
-
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int) or raw["seed"] < 0:
-            problems.append("seed: must be a non-negative integer")
-        else:
-            out["seed"] = raw["seed"]
-
-    if "propensity_floor" in raw:
-        floor = raw["propensity_floor"]
-        if not isinstance(floor, (int, float)) or not 0.0 <= float(floor) < 0.5:
-            problems.append("propensity_floor: must lie in [0, 0.5)")
-        else:
-            out["propensity_floor"] = float(floor)
-
-    if "filter_infinite" in raw:
-        if not isinstance(raw["filter_infinite"], bool):
-            problems.append("filter_infinite: must be a boolean")
-        else:
-            out["filter_infinite"] = raw["filter_infinite"]
-
-    if "moments_from" in raw:
-        if raw["moments_from"] not in ("estimation", "training"):
-            problems.append("moments_from: must be 'estimation' or 'training'")
-        else:
-            out["moments_from"] = raw["moments_from"]
-
-    if "truth_from" in raw:
-        if raw["truth_from"] not in ("estimation", "full"):
-            problems.append("truth_from: must be 'estimation' or 'full'")
-        else:
-            out["truth_from"] = raw["truth_from"]
-
-    if "output" in raw:
-        sec = raw["output"]
-        if not isinstance(sec, dict):
-            problems.append("output: must be an object")
-        else:
-            _check_keys(sec, {"dir", "format"}, "output", problems)
-            fmt = sec.get("format", "csv")
-            if fmt not in ("csv", "json"):
-                problems.append(f"output.format: must be 'csv' or 'json', got {fmt!r}")
-            else:
-                out["output_format"] = fmt
-            out["output_dir"] = str(sec.get("dir", "out"))
-
-    if "simulation" in raw:
-        sec = raw["simulation"]
-        if not isinstance(sec, dict):
-            problems.append("simulation: must be an object")
-        else:
-            allowed = {f.name for f in fields(SimSettings)}
-            _check_keys(sec, allowed, "simulation", problems)
-            try:
-                sim = SimSettings(**{k: v for k, v in sec.items() if k in allowed})
-                if sim.Q < 10 or sim.M < 1 or sim.p < 1 or not 0 < sim.r_c <= 1:
-                    raise ValueError("need Q >= 10, M >= 1, p >= 1, r_c in (0, 1]")
-                if sim.propensity_noise_sd < 0:
-                    raise ValueError("propensity_noise_sd must be >= 0")
-                out["sim"] = sim
-            except (TypeError, ValueError) as exc:
-                problems.append(f"simulation: {exc}")
-
-    if "sweep" in raw:
-        sec = raw["sweep"]
-        if not isinstance(sec, dict):
-            problems.append("sweep: must be an object mapping kind -> grid values")
-        else:
-            _check_keys(sec, set(SWEEP_KINDS), "sweep", problems)
-            grids = {}
-            for kind, vals in sec.items():
-                if kind not in SWEEP_KINDS:
-                    continue
-                if not isinstance(vals, list) or not vals:
-                    problems.append(f"sweep.{kind}: must be a non-empty list")
-                else:
-                    grids[kind] = tuple(vals)
-            out["sweep_grids"] = grids
-
-    if "verify" in raw:
-        sec = raw["verify"]
-        if not isinstance(sec, dict):
-            problems.append("verify: must be an object")
-        else:
-            allowed = {f.name for f in fields(VerifySettings)}
-            _check_keys(sec, allowed, "verify", problems)
-            kwargs = {k: v for k, v in sec.items() if k in allowed}
-            if "rk_pairs" in kwargs:
-                try:
-                    pairs = tuple((int(r), int(k)) for r, k in kwargs["rk_pairs"])
-                    for r, k in pairs:
-                        if not 2 <= k <= r <= 16:
-                            problems.append(
-                                f"verify.rk_pairs: k must satisfy 2 <= k <= r <= 16, got ({r}, {k})"
-                            )
-                    kwargs["rk_pairs"] = pairs
-                except (TypeError, ValueError):
-                    problems.append("verify.rk_pairs: must be a list of [r, k] pairs")
-                    kwargs.pop("rk_pairs")
-            try:
-                ver = VerifySettings(**kwargs)
-                if not 0 < ver.pi < 1:
-                    raise ValueError("pi must lie in (0, 1)")
-                if ver.order < 1 or ver.n_draws < 100 or ver.epsilon <= 0:
-                    raise ValueError("need order >= 1, n_draws >= 100, epsilon > 0")
-                out["verify"] = ver
-            except (TypeError, ValueError) as exc:
-                problems.append(f"verify: {exc}")
+    # Rules that tie several keys together.
+    if out.get("split") and abs(sum(out["split"]) - 1.0) > 1e-9:
+        problems.append(f"split: ratios must sum to 1, got {out['split']}")
+    sim, ver = out.get("sim"), out.get("verify")
+    if sim and round(sim.p * sim.r_c) < 1:
+        problems.append("simulation: p * r_c must round to at least one confounder")
+    for r, k in ver.rk_pairs if ver else ():
+        try:
+            _validate_orders(r, k)
+        except InvalidOrder as exc:
+            problems.append(f"verify.rk_pairs: {exc}")
+    # Reports name a learner by its label alone, so a repeated label
+    # would pool two learners' results.
+    labels = [spec and spec.label for spec in out.get("learners", ())]
+    for i, label in enumerate(labels):
+        first = labels.index(label)
+        if label and first < i:
+            problems.append(
+                f"learners[{first}] and learners[{i}]: both have the label '{label}'; reports "
+                "identify a learner by its label, so each regressor+propensity pair may appear once"
+            )
 
     if problems:
         raise ConfigError(f"{path}: invalid config:\n  " + "\n  ".join(problems))

@@ -296,8 +296,11 @@ class _Group:
         found = best[item] > -np.inf
         item = item[found]
         at, feat = at[item], item_feat[item]
-        thr = 0.5 * (self.X[rows[at], feat] + self.X[rows[at + 1], feat])
-        return found, feat, thr
+        lo, hi = self.X[rows[at], feat], self.X[rows[at + 1], feat]
+        # Between adjacent doubles the midpoint rounds onto the upper
+        # value, which would send every row left; split at the lower one.
+        thr = 0.5 * (lo + hi)
+        return found, feat, np.where(thr < hi, thr, lo)
 
     def _split(self, tree, start, size, depth, node, feat, thr):
         idx, offsets = _segments(start, size)

@@ -127,6 +127,9 @@ def fit_lasso_cv(
         for i, lam in enumerate(grid):
             fit = fit_lasso(X[mask], y[mask], lam, max_iter=max_iter, tol=tol)
             pred = fit.predict(X[fold])
-            errs[i] += float(((y[fold] - pred) ** 2).sum())
+            with np.errstate(over="ignore"):
+                errs[i] += float(((y[fold] - pred) ** 2).sum())
+    if not np.all(np.isfinite(errs)):
+        raise NonFinite("lasso cross-validation errors overflow; rescale the outcome")
     best = grid[int(np.argmin(errs))]
     return fit_lasso(X, y, best, max_iter=max_iter, tol=tol)

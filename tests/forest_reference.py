@@ -57,7 +57,8 @@ def _grow_tree(X, target, rng, max_depth, min_leaf, mtry, leaf_value, is_pure, s
             j = int(np.argmax(s))
             if best is None or s[j] > best[0]:
                 i = int(cand[j])
-                best = (float(s[j]), f, 0.5 * (xs[i - 1] + xs[i]))
+                thr = 0.5 * (xs[i - 1] + xs[i])
+                best = (float(s[j]), f, thr if thr < xs[i] else xs[i - 1])
         if best is None:
             values[slot] = leaf_value(node_target)
             continue

@@ -209,6 +209,18 @@ class TestOverflow:
         assert "error: huge.csv:" in err and "overflow" in err
         assert not (workspace / "out" / "huge_estimates.csv").exists()
 
+    def test_lasso_overflow_fails_the_dataset(self, workspace, capsys):
+        sim_cfg = write_json(workspace / "sim.json", base_config())
+        main(["simulate", "--config", sim_cfg, "--out", "data"])
+        ds = load_csv_dataset(workspace / "data" / "dataset_000.csv")
+        huge = Dataset(y=1e200 * ds.y, d=ds.d, Z=ds.Z, truth=ds.truth, n_treatments=3)
+        save_csv_dataset(huge, workspace / "huge.csv")
+        cfg = write_json(workspace / "cfg.json", base_config(datasets=["huge.csv"]))
+        assert main(["estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: huge.csv:" in err and "overflow" in err
+        assert not (workspace / "out" / "huge_estimates.csv").exists()
+
 
 class TestSweep:
     def test_outputs_and_shape(self, workspace):
@@ -289,3 +301,41 @@ class TestExitCodes:
     def test_bad_floor_override(self, workspace):
         cfg = write_json(workspace / "cfg.json", base_config(datasets=["x.csv"]))
         assert main(["estimate", "--config", cfg, "--propensity-floor", "0.7"]) == 1
+
+
+# (path into base_config, bad value, the name its error line gives it).
+BAD_VALUES = [
+    (("learners", 0, "n_trees"), 0, "learners[0].n_trees"),
+    (("learners", 0, "n_trees"), "5", "learners[0].n_trees"),
+    (("learners", 0, "lasso_grid"), [], "learners[0].lasso_grid"),
+    (("learners", 0, "lasso_grid"), [-1], "learners[0].lasso_grid"),
+    (("learners", 0, "logistic_l2"), -1, "learners[0].logistic_l2"),
+    (("learners", 0, "min_leaf"), 2.5, "learners[0].min_leaf"),
+    (("estimators", 2, "r"), 2.5, "estimators[2].r"),
+    (("estimators", 2, "R"), 2.7, "estimators[2].R"),
+    (("seed",), True, "seed"),
+    (("simulation", "Q"), 100.5, "simulation.Q"),
+    (("simulation", "Q"), "100", "simulation.Q"),
+    (("simulation", "n_treatments"), 1, "simulation.n_treatments"),
+    (("sweep", "samplesize"), ["abc"], "sweep.samplesize"),
+    (("verify", "tolerance"), "x", "verify.tolerance"),
+    (("verify", "dml_max_order"), "a", "verify.dml_max_order"),
+    (("verify", "include_dml"), "no", "verify.include_dml"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, name", BAD_VALUES, ids=[f"{n}={v!r}" for _, v, n in BAD_VALUES]
+)
+def test_bad_config_value_is_named_config_error(workspace, capsys, path, value, name):
+    cfg = base_config()
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    path_arg = write_json(workspace / "cfg.json", cfg)
+    assert main(["simulate", "--config", path_arg, "--out", "data"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert f"\n  {name}: must be " in err
+    assert not (workspace / "data").exists()

@@ -1,20 +1,33 @@
+import copy
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoate import (
     ConfigError,
     Dataset,
+    EstimatorSpec,
+    LearnerSpec,
     ParseError,
+    RunConfig,
     SchemaError,
+    SimSettings,
+    VerifySettings,
     load_csv_dataset,
     load_run_config,
     read_report_csv,
     save_csv_dataset,
     write_report,
 )
+from orthoate.dataio import CONFIG_RULES
+from orthoate.simulation import SWEEP_KINDS
 
 FIXTURE = """y,d,z1,z2,mu0,mu1
 1.5,0,0.1,-0.2,1.0,2.0
@@ -157,6 +170,139 @@ class TestRunConfig:
         cfg_path = write(tmp_path, "cfg.json", json.dumps({"sweep": {"noise": [1]}}))
         with pytest.raises(ConfigError, match="noise"):
             load_run_config(cfg_path)
+
+    def test_every_field_has_one_rule(self):
+        for section, cls in (
+            ("estimators", EstimatorSpec), ("learners", LearnerSpec),
+            ("simulation", SimSettings), ("verify", VerifySettings),
+        ):
+            assert set(CONFIG_RULES[section]) == {f.name for f in fields(cls)}
+        assert set(CONFIG_RULES["sweep"]) == set(SWEEP_KINDS)
+
+    @pytest.mark.parametrize("config, value, read", [
+        ({"learners": [{"regressor": "forest", "max_depth": 0}]}, 0,
+         lambda c: c.learners[0].max_depth),
+        ({"learners": [{"regressor": "forest", "max_depth": None}]}, None,
+         lambda c: c.learners[0].max_depth),
+        ({"verify": {"n_moment_sequences": 0}}, 0, lambda c: c.verify.n_moment_sequences),
+        ({"simulation": {"r_c": 1}}, 1.0, lambda c: c.sim.r_c),
+        ({"propensity_floor": 0}, 0.0, lambda c: c.propensity_floor),
+        ({"verify": {"rk_pairs": [[4, 2]]}}, ((4, 2),), lambda c: c.verify.rk_pairs),
+    ])
+    def test_boundary_values_load(self, tmp_path, config, value, read):
+        cfg = load_run_config(write(tmp_path, "cfg.json", json.dumps(config)))
+        assert read(cfg) == value
+
+    def test_numbers_are_strict(self, tmp_path):
+        # Floats are not integers, bools are not numbers, infinities are not numbers.
+        cfg_path = write(tmp_path, "cfg.json", json.dumps({
+            "seed": 1.0, "simulation": {"Q": 1e3}, "propensity_floor": False,
+            "verify": {"epsilon": math.inf},
+        }))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(cfg_path)
+        for line in (
+            "seed: must be an integer >= 0, got 1.0",
+            "simulation.Q: must be an integer >= 10, got 1000.0",
+            "propensity_floor: must be a number in [0, 0.5), got false",
+            "verify.epsilon: must be a number > 0, got Infinity",
+        ):
+            assert line in str(err.value)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"verify": {"rk_pairs": [[2, 2], [2, 3]]}}, r"verify\.rk_pairs: k must satisfy 2 <= k"),
+        ({"verify": {"rk_pairs": [[17, 2]]}}, r"verify\.rk_pairs: r must not exceed 16"),
+        ({"simulation": {"p": 1, "r_c": 0.4}}, r"simulation: p \* r_c must round to at least one"),
+    ])
+    def test_cross_field_rules(self, tmp_path, config, message):
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(write(tmp_path, "cfg.json", json.dumps(config)))
+
+    def test_missing_estimator_kind(self, tmp_path):
+        cfg_path = write(tmp_path, "cfg.json", json.dumps({"estimators": [{"r": 2, "k": 2}]}))
+        with pytest.raises(ConfigError, match=r"estimators\[0\]\.kind: must be"):
+            load_run_config(cfg_path)
+
+    def test_unreadable_config_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_run_config(tmp_path)
+        bad = tmp_path / "cfg.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ConfigError, match="JSON"):
+            load_run_config(bad)
+
+
+README_CONFIG = json.loads(re.findall(
+    r"^```json\n(.*?)^```", (Path(__file__).parent.parent / "README.md").read_text(), re.M | re.S,
+)[0])
+
+# Values of every JSON type, to put where the README config has another.
+STRINGS = st.sampled_from(["", "5", "x", "csv", "forest", "higher_order"])
+OTHER_VALUES = st.one_of(
+    st.booleans(), STRINGS, st.floats(), st.integers(max_value=-1), st.none(),
+    st.lists(st.integers(-3, 20), max_size=3),
+    st.dictionaries(STRINGS, st.integers(-3, 3), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """The path to every value of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# Python types a loaded value may have, by the annotation of its field.
+ANNOTATED = {"int": int, "int | None": (int, type(None)), "float": (int, float), "bool": bool,
+             "str": str, "tuple": tuple}
+
+
+def _assert_well_typed(spec) -> None:
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in ANNOTATED:
+            assert isinstance(value, ANNOTATED[f.type]), (f.name, value)
+            assert f.type == "bool" or not isinstance(value, bool), (f.name, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_readme_config_loads_or_raises_config_error(tmp_path_factory, data):
+    cfg = copy.deepcopy(README_CONFIG)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_paths(cfg))
+        action = data.draw(st.sampled_from(["drop", "add", "replace"]), label="action")
+        if action == "add":
+            path = data.draw(st.sampled_from([p for p in paths if isinstance(_at(cfg, p), dict)]))
+            _at(cfg, path)["unknown_key"] = data.draw(OTHER_VALUES)
+            continue
+        path = data.draw(st.sampled_from(paths[1:]), label="path")
+        if action == "drop":
+            del _at(cfg, path[:-1])[path[-1]]
+        else:
+            _at(cfg, path[:-1])[path[-1]] = data.draw(OTHER_VALUES, label="value")
+    path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        loaded = load_run_config(path)
+    except ConfigError:
+        return
+    # A config that loads holds values of the annotated types only.
+    assert isinstance(loaded, RunConfig)
+    for spec in (loaded, loaded.sim, loaded.verify, *loaded.estimators, *loaded.learners):
+        _assert_well_typed(spec)
 
 
 class TestReports:

@@ -15,6 +15,28 @@ def test_overflowing_split_scores_raise_nonfinite():
         fit_forest_regressor(X, y, n_trees=3)
 
 
+def _adjacent_doubles():
+    # Two feature values one ulp apart: their midpoint rounds onto the upper one.
+    low = np.nextafter(1.0, 2.0)
+    X = np.repeat([low, np.nextafter(low, 2.0)], 5).reshape(-1, 1)
+    return X, np.repeat([0, 1], 5)
+
+
+def test_regressor_splits_between_adjacent_doubles():
+    X, groups = _adjacent_doubles()
+    y = groups * 3.0
+    fit = fit_forest_regressor(X, y, n_trees=2, min_leaf=1, bootstrap=False)
+    assert all(tree.feature.size == 3 for tree in fit.trees)
+    np.testing.assert_array_equal(fit.predict(X), y)
+
+
+def test_classifier_splits_between_adjacent_doubles():
+    X, d = _adjacent_doubles()
+    fit = fit_forest_classifier(X, d, n_classes=2, n_trees=2, min_leaf=1, bootstrap=False)
+    assert all(tree.feature.size == 3 for tree in fit.trees)
+    np.testing.assert_array_equal(fit.predict_proba(X), np.eye(2)[d])
+
+
 def _fit_bytes(fit) -> int:
     """Bytes of the arrays the fitted trees hold, each buffer counted once."""
     buffers = {}

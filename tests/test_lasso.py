@@ -79,3 +79,12 @@ def test_cv_deterministic(regression_data):
     b = fit_lasso_cv(X, y, seed=7)
     assert a.lam == b.lam
     np.testing.assert_array_equal(a.coef, b.coef)
+
+
+def test_cv_overflow_raises_nonfinite():
+    # Squared held-out errors of targets near 1e200 overflow float64.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(200, 2))
+    y = 1e200 * (1 + rng.normal(size=200))
+    with pytest.raises(NonFinite, match="overflow"):
+        fit_lasso_cv(X, y)

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from orthoate import load_run_config
+from orthoate.dataio import CONFIG_RULES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +30,10 @@ def test_json_blocks_are_valid_run_configs(tmp_path):
         path = tmp_path / f"block_{i}.json"
         path.write_text(text)
         load_run_config(path)
+
+
+def test_key_sections_state_every_rule():
+    text = " ".join(README.read_text().split())
+    for section, rules in CONFIG_RULES.items():
+        for key, (_, must_be) in rules.items():
+            assert f"`{key}`: {must_be}" in text, (section, key)
