@@ -28,7 +28,7 @@ with tempfile.TemporaryDirectory() as tmp:
     # downstream reports can score estimates against fold-exact targets.
     paths = []
     for rep in range(cfg_sim.M):
-        ds, _ = generate_dataset(cfg_sim, replication=rep)
+        ds = generate_dataset(cfg_sim, replication=rep)
         path = tmp / f"bench_{rep:03d}.csv"
         save_csv_dataset(ds, path)
         paths.append(str(path))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,8 @@ from .score import (
     solve_coefficients_oracle,
 )
 from .seeds import seed_int
-from .simulation import SimConfig, generate_dataset, kept_errors, run_estimators, run_sweep
+from .simulation import SimConfig, SweepRow, generate_dataset, kept_errors
+from .simulation import run_estimators, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,16 +84,21 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **changes) if changes else cfg
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _sim_config(cfg: RunConfig) -> SimConfig:
+    """The run's simulation section, seeded by the run seed."""
     sim = cfg.sim
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    base = SimConfig(
+    return SimConfig(
         Q=sim.Q, p=sim.p, r_c=sim.r_c, M=sim.M,
         n_treatments=sim.n_treatments, master_seed=cfg.seed,
     )
-    for m in range(sim.M):
-        ds, _ = generate_dataset(base, m)
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    base = _sim_config(cfg)
+    for m in range(base.M):
+        ds = generate_dataset(base, m)
         path = out / f"dataset_{m:03d}.csv"
         save_csv_dataset(ds, path)
         print(f"wrote {path}")
@@ -238,35 +244,30 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             if kind in ("confounding", "dimension", "samplesize")
             else f"unknown sweep kind '{kind}'"
         )
-    sim = cfg.sim
-    base = SimConfig(
-        Q=sim.Q, p=sim.p, r_c=sim.r_c, M=sim.M,
-        n_treatments=sim.n_treatments, master_seed=cfg.seed,
-    )
     report = run_sweep(
-        base, kind, cfg.sweep_grids[kind], cfg.estimators, cfg.learners,
+        _sim_config(cfg), kind, cfg.sweep_grids[kind], cfg.estimators, cfg.learners,
         split_ratios=cfg.split, propensity_floor=cfg.propensity_floor,
-        propensity_noise_sd=sim.propensity_noise_sd, moments_from=cfg.moments_from,
+        propensity_noise_sd=cfg.sim.propensity_noise_sd, moments_from=cfg.moments_from,
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_payload(filter_infinite=cfg.filter_infinite)
     rows_path = out / f"sweep_{kind}.csv"
-    write_report(payload, rows_path, "csv")
+    table = {"columns": [f.name for f in fields(SweepRow)], "rows": [asdict(r) for r in report.rows]}
+    write_report(table, rows_path, "csv")
     summary = {
         "schema_version": 1,
-        "kind": payload["kind"],
+        "kind": f"sweep_{kind}",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "master_seed": cfg.seed,
         "filter_infinite": cfg.filter_infinite,
         "columns": ["grid_value", "learner", "estimator", "n", "n_excluded", "eps_ate", "median"],
-        "rows": payload["summary"],
+        "rows": report.aggregate(filter_infinite=cfg.filter_infinite),
     }
     summary_path = out / f"sweep_{kind}_summary.json"
     write_report(summary, summary_path, "json")
     print(f"wrote {rows_path}")
     print(f"wrote {summary_path}")
-    for row in payload["summary"]:
+    for row in summary["rows"]:
         eps = row["eps_ate"]
         eps_s = _console_number(eps) if np.isfinite(eps) else "inf"
         print(
@@ -280,11 +281,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     ver = cfg.verify
     if not ver.rk_pairs:
         raise ConfigError("verify.rk_pairs must list at least one (r, k) pair")
-    sim = cfg.sim
-    model = SimConfig(
-        Q=sim.Q, p=sim.p, r_c=sim.r_c, M=1,
-        n_treatments=sim.n_treatments, master_seed=cfg.seed,
-    ).model()
+    model = _sim_config(cfg).model()
     failed = False
 
     print("coefficient construction: recursion vs linear-system oracle")
@@ -355,6 +352,9 @@ def main(argv=None) -> int:
         return 1
     except OrthoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,6 +32,7 @@ from .exceptions import (
     ShapeMismatch,
     ZeroDenominator,
 )
+from .learners.base import integer_labels
 from .score import Moments, compute_coefficients, correction_values
 
 
@@ -57,9 +58,7 @@ class Dataset:
             raise ShapeMismatch("y, d must be 1-d of equal length and Z 2-d with matching rows")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(Z))):
             raise NonFinite("y and Z must be finite")
-        d = d_raw.astype(int)
-        if np.any(d != d_raw) or d.size and d.min() < 0:
-            raise ValueError("treatments must be non-negative integers")
+        d = integer_labels(d_raw, "treatments")
         n_treat = self.n_treatments if self.n_treatments is not None else int(d.max()) + 1
         if d.size and d.max() >= n_treat:
             raise ValueError(f"treatment label {d.max()} outside 0..{n_treat - 1}")

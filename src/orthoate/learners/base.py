@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import NonFinite, ShapeMismatch
+from ..exceptions import MissingClass, NonFinite, ShapeMismatch
 
 
 def validate_features(X, p: int | None = None) -> np.ndarray:
@@ -18,6 +18,29 @@ def validate_features(X, p: int | None = None) -> np.ndarray:
     if p is not None and X.shape[1] != p:
         raise ShapeMismatch(f"expected {p} features, got {X.shape[1]}")
     return X
+
+
+def integer_labels(d, what: str = "labels") -> np.ndarray:
+    """``d`` as int64 labels, or ValueError unless each is an integer in [0, 2**63).
+
+    Values are checked before the cast, so NaN, infinities, fractions and
+    out-of-range values fail without a cast warning.
+    """
+    d = np.asarray(d)
+    f = d.astype(float)
+    if not np.all((f >= 0) & (f < 2.0**63) & (f == np.floor(f))):
+        raise ValueError(f"{what} must be non-negative integers")
+    return d.astype(np.int64)
+
+
+def class_count(labels: np.ndarray, n_classes: int | None) -> int:
+    """The class count, or MissingClass if some class has no label."""
+    k = int(labels.max()) + 1 if n_classes is None else int(n_classes)
+    present = np.bincount(labels, minlength=k) > 0
+    if labels.max() >= k or not present.all():
+        missing = [i for i in range(k) if i >= present.size or not present[i]]
+        raise MissingClass(f"classes absent from the training labels: {missing}")
+    return k
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import MissingClass, NonFinite, ShapeMismatch
-from .base import validate_features
+from ..exceptions import NonFinite, ShapeMismatch
+from .base import class_count, integer_labels, validate_features
 
 _OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
 
@@ -465,14 +465,8 @@ def fit_forest_classifier(
     d = np.asarray(d)
     if d.shape != (X.shape[0],):
         raise ShapeMismatch("labels must match X rows")
-    labels = d.astype(int)
-    if np.any(labels != d) or labels.min() < 0:
-        raise ValueError("labels must be non-negative integers")
-    k = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    present = np.bincount(labels, minlength=k) > 0
-    if labels.max() >= k or not present.all():
-        missing = [i for i in range(k) if i >= present.size or not present[i]]
-        raise MissingClass(f"classes absent from the training labels: {missing}")
+    labels = integer_labels(d)
+    k = class_count(labels, n_classes)
     if n_trees < 1 or min_leaf < 1:
         raise ValueError("n_trees and min_leaf must be >= 1")
     trees = _grow_forest(X, labels.astype(float), n_trees, seed, bootstrap, max_depth,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import MissingClass, ShapeMismatch
-from .base import Standardizer, validate_features
+from ..exceptions import ShapeMismatch
+from .base import Standardizer, class_count, integer_labels, validate_features
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -41,22 +41,6 @@ class LogisticFit:
         return softmax(self.std.transform(X) @ self.coef.T + self.intercept)
 
 
-def _validate_labels(d: np.ndarray, n_classes: int | None) -> int:
-    if d.ndim != 1:
-        raise ShapeMismatch("labels must be 1-d")
-    if not np.all(np.isfinite(d)) or np.any(d != d.astype(int)):
-        raise ValueError("labels must be integers")
-    labels = d.astype(int)
-    if labels.min() < 0:
-        raise ValueError("labels must be >= 0")
-    k = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    present = np.bincount(labels, minlength=k) > 0
-    if labels.max() >= k or not present.all():
-        missing = [i for i in range(k) if i >= present.size or not present[i]]
-        raise MissingClass(f"classes absent from the training labels: {missing}")
-    return k
-
-
 def fit_logistic(
     X,
     d,
@@ -70,8 +54,8 @@ def fit_logistic(
     d = np.asarray(d)
     if d.shape != (X.shape[0],):
         raise ShapeMismatch("labels must match X rows")
-    k = _validate_labels(d, n_classes)
-    labels = d.astype(int)
+    labels = integer_labels(d)
+    k = class_count(labels, n_classes)
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
     n, p = X.shape

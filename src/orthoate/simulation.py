@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,8 +271,6 @@ class SimConfig:
     master_seed: int = 0
     beta: np.ndarray | None = None
     outcome_coeffs: np.ndarray | None = None
-    d_levels: np.ndarray | None = None
-    noise_sd: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.Q < 1 or self.M < 1 or self.p < 1 or self.n_treatments < 2:
@@ -294,28 +292,12 @@ class SimConfig:
             )
             beta = drawn_beta if beta is None else beta
             coeffs = drawn_coeffs if coeffs is None else coeffs
-        dl = self.d_levels if self.d_levels is not None else default_d_levels(self.n_treatments)
-        sd = self.noise_sd if self.noise_sd is not None else default_noise_sd(self.n_treatments)
-        beta = np.asarray(beta, dtype=float)[:, : self.n_confounding]
-        coeffs = np.asarray(coeffs, dtype=float)[:, : self.p]
         return TreatmentOutcomeModel(
-            beta=beta, outcome_coeffs=coeffs, d_levels=np.asarray(dl, float), noise_sd=np.asarray(sd, float)
+            beta=np.asarray(beta, dtype=float)[:, : self.n_confounding],
+            outcome_coeffs=np.asarray(coeffs, dtype=float)[:, : self.p],
+            d_levels=default_d_levels(self.n_treatments),
+            noise_sd=default_noise_sd(self.n_treatments),
         )
-
-
-@dataclass(frozen=True)
-class SimTruth:
-    """True quantities attached to one generated dataset."""
-
-    potential_means: np.ndarray
-    theta: np.ndarray
-    population_theta: np.ndarray
-
-    def fold_theta(self, idx) -> np.ndarray:
-        return self.potential_means[np.asarray(idx, dtype=np.int64)].mean(axis=0)
-
-    def fold_pairwise(self, idx) -> np.ndarray:
-        return pairwise_from_theta(self.fold_theta(idx))
 
 
 def _replication_rng(master_seed: int, replication: int, purpose: int):
@@ -324,11 +306,14 @@ def _replication_rng(master_seed: int, replication: int, purpose: int):
     )
 
 
-def generate_dataset(cfg: SimConfig, replication: int = 0) -> tuple:
-    """Draw one dataset; returns (Dataset, SimTruth).
+def generate_dataset(cfg: SimConfig, replication: int = 0) -> Dataset:
+    """Draw one dataset whose ``truth`` holds each unit's true outcome means.
 
-    The same (master_seed, replication) regenerates the sample bit for
-    bit.  Treatment uniforms and noise come from their own streams, so
+    ``ds.truth[:, i]`` is the noiseless outcome surface of arm i at each
+    row's covariates, so a fold's target effects are
+    ``pairwise_from_theta(ds.truth[idx].mean(axis=0))``.  The same
+    (master_seed, replication) regenerates the sample bit for bit.
+    Treatment uniforms and noise come from their own streams, so
     covariate-dimension changes leave them untouched.
     """
     model = cfg.model()
@@ -344,13 +329,7 @@ def generate_dataset(cfg: SimConfig, replication: int = 0) -> tuple:
         )
         y_pot[:, i] = means[:, i] + noise
     y = y_pot[np.arange(cfg.Q), d]
-    ds = Dataset(y=y, d=d, Z=Z, truth=means, n_treatments=cfg.n_treatments)
-    truth = SimTruth(
-        potential_means=means,
-        theta=means.mean(axis=0),
-        population_theta=np.asarray([model.population_theta(i) for i in range(cfg.n_treatments)]),
-    )
-    return ds, truth
+    return Dataset(y=y, d=d, Z=Z, truth=means, n_treatments=cfg.n_treatments)
 
 
 class NoisyPropensity:
@@ -388,12 +367,8 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    """Per-replication relative errors over one sweep grid."""
+    """Per-replication relative errors over one sweep grid, one SweepRow each."""
 
-    sweep: str
-    values: tuple
-    M: int
-    master_seed: int
     rows: list = field(default_factory=list)
 
     def rel_errors(self, grid_value, learner: str, estimator: str) -> np.ndarray:
@@ -431,27 +406,14 @@ class SweepReport:
             )
         return out
 
-    def to_payload(self, filter_infinite: bool = False) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": f"sweep_{self.sweep}",
-            "master_seed": self.master_seed,
-            "M": self.M,
-            "columns": [f.name for f in fields(SweepRow)],
-            "rows": [asdict(r) for r in self.rows],
-            "summary": self.aggregate(filter_infinite=filter_infinite),
-        }
-
 
 def _grid_config(cfg: SimConfig, kind: str, value, beta_full, coeffs_full) -> SimConfig:
     if kind == "samplesize":
         point = replace(cfg, Q=int(value))
     elif kind == "dimension":
         point = replace(cfg, p=int(value))
-    elif kind == "confounding":
+    else:  # confounding; run_sweep has rejected every other kind
         point = replace(cfg, r_c=float(value))
-    else:
-        raise ConfigError(f"unknown sweep kind '{kind}' (choices: {SWEEP_KINDS})")
     return replace(
         point,
         beta=beta_full[:, : point.n_confounding],
@@ -462,9 +424,9 @@ def _grid_config(cfg: SimConfig, kind: str, value, beta_full, coeffs_full) -> Si
 def _sweep_task(args):
     (cfg_point, grid_value, rep, learner_specs, estimator_specs, ratios, floor,
      noise_sd, moments_from, master_seed) = args
-    ds, truth = generate_dataset(cfg_point, rep)
+    ds = generate_dataset(cfg_point, rep)
     split = make_split(ds.n, ratios, seed=seed_int(master_seed, rep, _TAG_SPLIT))
-    truth_matrix = truth.fold_pairwise(split.estimation_idx)
+    truth_matrix = pairwise_from_theta(ds.truth[split.estimation_idx].mean(axis=0))
     tr = split.training_idx
     rows = []
     for lspec in learner_specs:
@@ -560,7 +522,7 @@ def run_sweep(
             )
     if workers is None:
         workers = int(os.environ.get("ORTHOATE_WORKERS", "1"))
-    report = SweepReport(sweep=kind, values=tuple(values), M=cfg.M, master_seed=cfg.master_seed)
+    report = SweepReport()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rows in pool.map(_sweep_task, tasks):

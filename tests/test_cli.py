@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orthoate import Dataset, load_csv_dataset, make_split, read_report_csv, save_csv_dataset
+from orthoate import cli
 from orthoate.cli import main
 
 
@@ -301,6 +302,16 @@ class TestExitCodes:
     def test_bad_floor_override(self, workspace):
         cfg = write_json(workspace / "cfg.json", base_config(datasets=["x.csv"]))
         assert main(["estimate", "--config", cfg, "--propensity-floor", "0.7"]) == 1
+
+    def test_out_of_memory_is_runtime_error(self, workspace, capsys, monkeypatch):
+        def too_big(cfg, replication=0):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "generate_dataset", too_big)
+        cfg = write_json(workspace / "cfg.json", base_config())
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
 
 
 # (path into base_config, bad value, the name its error line gives it).

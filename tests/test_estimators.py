@@ -19,6 +19,8 @@ from orthoate import (
     estimate_dr,
     estimate_higher_order,
     estimate_moments,
+    fit_forest_classifier,
+    fit_logistic,
     make_split,
     pairwise_from_theta,
     relative_ate_error,
@@ -123,6 +125,21 @@ class TestDatasetValidation:
                 y=np.zeros(3), d=np.array([0, 1, 0]), Z=np.zeros((3, 1)),
                 truth=np.zeros((3, 3)), n_treatments=2,
             )
+
+
+LABEL_CALLERS = {
+    "Dataset": lambda d: Dataset(y=np.zeros(d.size), d=d, Z=np.zeros((d.size, 1))),
+    "fit_forest_classifier": lambda d: fit_forest_classifier(np.zeros((d.size, 1)), d, n_trees=1),
+    "fit_logistic": lambda d: fit_logistic(np.zeros((d.size, 1)), d),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 2.0**63])
+@pytest.mark.parametrize("caller", sorted(LABEL_CALLERS))
+def test_unrepresentable_label_is_value_error(caller, bad):
+    # A cast before the check would warn on each of these.
+    with pytest.raises(ValueError, match="must be non-negative integers"):
+        LABEL_CALLERS[caller](np.array([0.0, 1.0, bad]))
 
 
 class TestBaselines:

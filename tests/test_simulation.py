@@ -25,11 +25,11 @@ def cfg() -> SimConfig:
 
 class TestModel:
     def test_potential_means_closed_form(self, cfg):
-        ds, truth = generate_dataset(cfg, 0)
+        ds = generate_dataset(cfg, 0)
         model = cfg.model()
         for i in range(3):
             want = np.exp(np.sqrt(model.d_levels[i])) * (ds.Z @ model.outcome_coeffs[i] + 1.0) ** 2
-            np.testing.assert_allclose(truth.potential_means[:, i], want, rtol=1e-12)
+            np.testing.assert_allclose(ds.truth[:, i], want, rtol=1e-12)
 
     def test_population_theta_closed_form(self, cfg):
         model = cfg.model()
@@ -39,7 +39,7 @@ class TestModel:
             assert model.population_theta(i) == pytest.approx(want, rel=1e-12)
 
     def test_treatment_frequencies_match_propensities(self, cfg):
-        ds, _ = generate_dataset(cfg, 0)
+        ds = generate_dataset(cfg, 0)
         pi = cfg.model().propensities(ds.Z)
         for i in range(3):
             target = pi[:, i].mean()
@@ -74,7 +74,7 @@ class TestModel:
 
     def test_last_arm_noise_floor(self, cfg):
         # The third arm carries unit-variance noise, so Var(y | d = 2) >= 1.
-        ds, _ = generate_dataset(cfg, 0)
+        ds = generate_dataset(cfg, 0)
         assert ds.y[ds.d == 2].var() >= 1.0
 
     def test_residual_moments_quadrature_matches_monte_carlo(self, cfg):
@@ -92,16 +92,16 @@ class TestModel:
 
 class TestGeneration:
     def test_bitwise_regeneration(self, cfg):
-        a, ta = generate_dataset(cfg, 1)
-        b, tb = generate_dataset(cfg, 1)
+        a = generate_dataset(cfg, 1)
+        b = generate_dataset(cfg, 1)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.d, b.d)
         np.testing.assert_array_equal(a.Z, b.Z)
-        np.testing.assert_array_equal(ta.potential_means, tb.potential_means)
+        np.testing.assert_array_equal(a.truth, b.truth)
 
     def test_replications_differ(self, cfg):
-        a, _ = generate_dataset(cfg, 0)
-        b, _ = generate_dataset(cfg, 1)
+        a = generate_dataset(cfg, 0)
+        b = generate_dataset(cfg, 1)
         assert not np.array_equal(a.y, b.y)
 
     def test_sample_size_prefix_property(self, cfg):
@@ -109,24 +109,11 @@ class TestGeneration:
         # one, so sample-size sweeps compare nested datasets.
         from dataclasses import replace
 
-        small, _ = generate_dataset(replace(cfg, Q=500), 0)
-        large, _ = generate_dataset(replace(cfg, Q=1000), 0)
+        small = generate_dataset(replace(cfg, Q=500), 0)
+        large = generate_dataset(replace(cfg, Q=1000), 0)
         np.testing.assert_array_equal(small.Z, large.Z[:500])
         np.testing.assert_array_equal(small.d, large.d[:500])
         np.testing.assert_array_equal(small.y, large.y[:500])
-
-    def test_dataset_carries_truth(self, cfg):
-        ds, truth = generate_dataset(cfg, 0)
-        np.testing.assert_array_equal(ds.truth, truth.potential_means)
-
-    def test_fold_truth_is_fold_mean(self, cfg):
-        ds, truth = generate_dataset(cfg, 0)
-        idx = np.arange(100)
-        np.testing.assert_allclose(
-            truth.fold_theta(idx), truth.potential_means[idx].mean(axis=0), rtol=1e-14
-        )
-        mat = truth.fold_pairwise(idx)
-        np.testing.assert_array_equal(mat, -mat.T)
 
 
 class TestEstimatorSpec:
@@ -144,7 +131,7 @@ class TestEstimatorSpec:
             EstimatorSpec("aipw")
 
     def test_run_estimator_dispatch(self, cfg):
-        ds, _ = generate_dataset(cfg, 0)
+        ds = generate_dataset(cfg, 0)
         split = make_split(ds.n, (0.56, 0.14, 0.30), seed=1)
         tr = split.training_idx
         fits = fit_nuisances(ds.Z[tr], ds.y[tr], ds.d[tr], 3, LearnerSpec(), seed=2)
@@ -238,7 +225,7 @@ class TestSweep:
             SweepRow(1.0, "l", "dr", 0, 0.2, False, False),
             SweepRow(1.0, "l", "dr", 1, 0.6, False, False),
         ]
-        rep = SweepReport(sweep="samplesize", values=(1.0,), M=2, master_seed=0, rows=rows)
+        rep = SweepReport(rows)
         plain = {(r["estimator"]): r for r in rep.aggregate(filter_infinite=False)}
         assert not np.isfinite(plain["dml"]["eps_ate"])
         filt = {(r["estimator"]): r for r in rep.aggregate(filter_infinite=True)}
