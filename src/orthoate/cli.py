@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataio import RunConfig, config_problem, load_csv_dataset, load_run_config
 from .dataio import save_csv_dataset, write_report
-from .estimators import make_split, pairwise_from_theta, relative_ate_error
+from .estimators import make_split, relative_ate_error
 from .exceptions import ConfigError, OrthoError
 from .gateaux import check_orthogonality
 from .learners import fit_nuisances
@@ -35,7 +35,7 @@ from .score import (
 )
 from .seeds import seed_int
 from .simulation import SimConfig, SweepRow, generate_dataset, kept_errors
-from .simulation import run_estimators, run_sweep
+from .simulation import run_estimators, run_sweep, target_effects
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,12 +117,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
         try:
             ds = load_csv_dataset(path, cfg.n_treatments)
             split = make_split(ds.n, cfg.split, seed=seed_int(cfg.seed, di, 0))
-            truth_matrix = None
-            if ds.truth is not None:
-                truth_rows = (
-                    split.estimation_idx if cfg.truth_from == "estimation" else np.arange(ds.n)
-                )
-                truth_matrix = pairwise_from_theta(ds.truth[truth_rows].mean(axis=0))
+            truth_matrix = (
+                target_effects(ds, split, cfg.truth_from) if ds.truth is not None else None
+            )
             rows, dataset_errors = [], []
             for lspec in cfg.learners:
                 tr = split.training_idx
@@ -248,6 +245,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         _sim_config(cfg), kind, cfg.sweep_grids[kind], cfg.estimators, cfg.learners,
         split_ratios=cfg.split, propensity_floor=cfg.propensity_floor,
         propensity_noise_sd=cfg.sim.propensity_noise_sd, moments_from=cfg.moments_from,
+        truth_from=cfg.truth_from,
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

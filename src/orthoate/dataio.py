@@ -4,6 +4,11 @@ Dataset CSV schema (canonical, strict): header row with columns
 ``y``, ``d``, ``z1..zp`` and optionally ``mu0..mu{n-1}`` (true
 per-treatment outcome means); every cell must parse to a finite number,
 and treatment labels must be integers inside the declared range.
+Written files have ``\\r\\n`` line ends and ``repr`` floats.  The reader
+first tries ``np.loadtxt`` on the body and keeps its table only when it
+is complete and finite; any other file goes to the strict per-row
+parser, which alone reports errors, so both give the same numbers and
+the same messages.
 
 Result payloads are dicts with ``columns``/``rows`` plus metadata.
 JSON keeps the full payload; CSV keeps the bare table.  Non-finite
@@ -18,6 +23,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +69,8 @@ def load_csv_dataset(path, n_treatments: int | None = None) -> Dataset:
 
     ParseError carries the 1-based data row and column name of the
     first missing, unparsable or non-finite cell; SchemaError covers
-    header problems and treatment labels outside 0..n-1.
+    header problems and treatment labels that are not integers inside
+    0..n-1.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -72,35 +79,25 @@ def load_csv_dataset(path, n_treatments: int | None = None) -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         names, p, n_mu = _column_layout(header)
-        col_of = {name: i for i, name in enumerate(names)}
-        rows = []
-        for r, raw in enumerate(reader, start=1):
-            if len(raw) != len(names):
-                raise ParseError(f"{path}: row {r} has {len(raw)} cells, expected {len(names)}")
-            vals = np.empty(len(names))
-            for name, c in col_of.items():
-                cell = raw[c].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: row {r}, column '{name}': cannot parse {cell!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}: row {r}, column '{name}': non-finite value {cell!r}")
-                vals[c] = v
-            rows.append(vals)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    table = np.asarray(rows)
+        table = _fast_table(path, len(names))
+        if table is None:
+            table = _strict_table(path, reader, names)
+    col_of = {name: i for i, name in enumerate(names)}
     y = table[:, col_of["y"]]
     d_raw = table[:, col_of["d"]]
     if np.any(d_raw != np.round(d_raw)):
         bad = int(np.argmax(d_raw != np.round(d_raw))) + 1
         raise SchemaError(f"{path}: row {bad}: treatment label {d_raw[bad - 1]} is not an integer")
+    # Range first: a cast of a label outside int64 wraps with a warning.
+    outside = (d_raw < 0) | (d_raw >= 2.0**63)
+    if np.any(outside):
+        bad = int(np.argmax(outside)) + 1
+        raise SchemaError(f"{path}: row {bad}: treatment label {d_raw[bad - 1]} is out of range")
     d = d_raw.astype(int)
     n_treat = n_treatments if n_treatments is not None else int(d.max()) + 1
     if n_mu and n_treatments is not None and n_mu != n_treat:
         raise SchemaError(f"{path}: {n_mu} truth columns but n_treatments={n_treat}")
-    if d.min() < 0 or d.max() >= n_treat:
+    if d.max() >= n_treat:
         raise SchemaError(
             f"{path}: treatment labels span {d.min()}..{d.max()}, outside 0..{n_treat - 1}"
         )
@@ -112,20 +109,74 @@ def load_csv_dataset(path, n_treatments: int | None = None) -> Dataset:
     return Dataset(y=y, d=d, Z=Z, truth=truth, n_treatments=n_treat)
 
 
+def _fast_table(path, n_cols: int):
+    """The data rows as read by ``np.loadtxt``, or None to leave the file to the strict parser.
+
+    The table is kept only if it has one row per data line (loadtxt
+    skips blank lines, the strict parser rejects them), one column per
+    header name and no non-finite value; so whenever it is kept the
+    strict parser would have read the same numbers.
+    """
+    try:
+        with open(path, newline="") as fh:
+            n_rows = sum(1 for _ in fh) - 1
+        if n_rows < 1:  # header only; loadtxt would warn about empty input
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape != (n_rows, n_cols) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _strict_table(path, reader, names):
+    """Parse the rows left in ``reader`` cell by cell, raising on the first bad one."""
+    col_of = {name: i for i, name in enumerate(names)}
+    rows = []
+    for r, raw in enumerate(reader, start=1):
+        if len(raw) != len(names):
+            raise ParseError(f"{path}: row {r} has {len(raw)} cells, expected {len(names)}")
+        vals = np.empty(len(names))
+        for name, c in col_of.items():
+            cell = raw[c].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: row {r}, column '{name}': cannot parse {cell!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}: row {r}, column '{name}': non-finite value {cell!r}")
+            vals[c] = v
+        rows.append(vals)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return np.asarray(rows)
+
+
+# Rows formatted per block: bounds the Python strings alive at once.
+_WRITE_BLOCK = 8192
+
+
 def save_csv_dataset(ds: Dataset, path) -> None:
-    """Write a dataset in the canonical column schema."""
+    """Write a dataset in the canonical column schema.
+
+    The bytes are those ``csv.writer`` gives: numeric cells never need
+    quoting, so each row is joined directly.
+    """
     header = ["y", "d"] + [f"z{j}" for j in range(1, ds.p + 1)]
     if ds.truth is not None:
         header += [f"mu{i}" for i in range(ds.n_treatments)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for m in range(ds.n):
-            row = [repr(float(ds.y[m])), str(int(ds.d[m]))]
-            row += [repr(float(v)) for v in ds.Z[m]]
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, ds.n, _WRITE_BLOCK):
+            hi = lo + _WRITE_BLOCK
+            cols = [map(repr, ds.y[lo:hi].tolist()), map(str, ds.d[lo:hi].tolist())]
+            cols += [map(repr, col) for col in ds.Z[lo:hi].T.tolist()]
             if ds.truth is not None:
-                row += [repr(float(v)) for v in ds.truth[m]]
-            writer.writerow(row)
+                cols += [map(repr, col) for col in ds.truth[lo:hi].T.tolist()]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cols)))
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,15 @@ def generate_dataset(cfg: SimConfig, replication: int = 0) -> Dataset:
     return Dataset(y=y, d=d, Z=Z, truth=means, n_treatments=cfg.n_treatments)
 
 
+def target_effects(ds: Dataset, split, truth_from: str = "estimation") -> np.ndarray:
+    """True pairwise effects: ``ds.truth`` averaged over the rows ``truth_from`` names.
+
+    "estimation" takes the split's estimation fold, "full" every row.
+    """
+    rows = split.estimation_idx if truth_from == "estimation" else np.arange(ds.n)
+    return pairwise_from_theta(ds.truth[rows].mean(axis=0))
+
+
 class NoisyPropensity:
     """Wraps a propensity fit, corrupting predictions with log-space noise.
 
@@ -423,10 +432,10 @@ def _grid_config(cfg: SimConfig, kind: str, value, beta_full, coeffs_full) -> Si
 
 def _sweep_task(args):
     (cfg_point, grid_value, rep, learner_specs, estimator_specs, ratios, floor,
-     noise_sd, moments_from, master_seed) = args
+     noise_sd, moments_from, truth_from, master_seed) = args
     ds = generate_dataset(cfg_point, rep)
     split = make_split(ds.n, ratios, seed=seed_int(master_seed, rep, _TAG_SPLIT))
-    truth_matrix = pairwise_from_theta(ds.truth[split.estimation_idx].mean(axis=0))
+    truth_matrix = target_effects(ds, split, truth_from)
     tr = split.training_idx
     rows = []
     for lspec in learner_specs:
@@ -466,6 +475,7 @@ def run_sweep(
     propensity_floor: float = 0.0,
     propensity_noise_sd: float = 0.0,
     moments_from: str = "estimation",
+    truth_from: str = "estimation",
     workers: int | None = None,
 ) -> SweepReport:
     """Run every estimator/learner combo over a parameter grid.
@@ -517,6 +527,7 @@ def run_sweep(
                     propensity_floor,
                     propensity_noise_sd,
                     moments_from,
+                    truth_from,
                     cfg.master_seed,
                 )
             )

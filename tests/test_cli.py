@@ -262,6 +262,16 @@ class TestSweep:
         sa.pop("generated_at"), sb.pop("generated_at")
         assert sa == sb
 
+    def test_truth_from_sets_the_target(self, workspace):
+        tables = []
+        for truth_from in ("estimation", "full"):
+            cfg = write_json(workspace / f"{truth_from}.json", base_config(
+                truth_from=truth_from, output={"dir": truth_from, "format": "csv"},
+            ))
+            assert main(["sweep", "--config", cfg, "--sweep", "samplesize"]) == 0
+            tables.append((workspace / truth_from / "sweep_samplesize.csv").read_bytes())
+        assert tables[0] != tables[1]
+
 
 class TestVerify:
     def test_passes_with_dml_gated_first_order(self, workspace, capsys):

@@ -2,13 +2,16 @@ import copy
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orthoate import (
     ConfigError,
@@ -26,6 +29,9 @@ from orthoate import (
     save_csv_dataset,
     write_report,
 )
+from csv_reference import save_csv_dataset_reference
+
+from orthoate import dataio
 from orthoate.dataio import CONFIG_RULES
 from orthoate.simulation import SWEEP_KINDS
 
@@ -106,6 +112,149 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.d, ds.d)
         np.testing.assert_array_equal(back.Z, ds.Z)
         np.testing.assert_array_equal(back.truth, ds.truth)
+
+    @pytest.mark.parametrize("n_treatments", [None, 2])
+    @pytest.mark.parametrize("label", ["1e300", "-1e300", "9223372036854775808", "-1"])
+    def test_unrepresentable_label_names_row(self, tmp_path, label, n_treatments):
+        # Labels outside int64 used to wrap in the cast, with a RuntimeWarning.
+        bad = FIXTURE.replace("-0.25,1,", f"-0.25,{label},")
+        with pytest.raises(SchemaError, match=r"row 2: treatment label \S+ is out of range"):
+            load_csv_dataset(write(tmp_path, "j.csv", bad), n_treatments=n_treatments)
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [("", SchemaError, "no data rows"), ("\r\n\r\n", ParseError, "row 1 has 0 cells")],
+    )
+    def test_empty_body_raises_without_warning(self, tmp_path, body, error, message):
+        path = tmp_path / "k.csv"
+        path.write_bytes(("y,d,z1\r\n" + body).encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match=message):
+                load_csv_dataset(path)
+        assert [str(w.message) for w in caught] == []
+
+
+# Finite doubles at the edges: signed zero, the smallest subnormal, the largest.
+EDGE_DOUBLES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def random_bit_doubles(rng, shape):
+    """Finite doubles from uniform random bits, so every exponent turns up."""
+    x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    x[~np.isfinite(x)] = 1.0
+    flat = x.reshape(-1)
+    flat[: len(EDGE_DOUBLES)] = EDGE_DOUBLES[: flat.size]
+    return x
+
+
+def random_dataset(n, with_truth, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        y=random_bit_doubles(rng, n),
+        d=np.arange(n) % 3,
+        Z=random_bit_doubles(rng, (n, 2)),
+        truth=random_bit_doubles(rng, (n, 3)) if with_truth else None,
+        n_treatments=3,
+    )
+
+
+def dataset_bytes(ds):
+    truth = None if ds.truth is None else ds.truth.tobytes()
+    return ds.y.tobytes(), ds.d.tobytes(), ds.Z.tobytes(), truth, ds.n_treatments
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
+    def test_bytes_equal_reference_writer(self, tmp_path, n, with_truth):
+        ds = random_dataset(n, with_truth, seed=n)
+        save_csv_dataset(ds, tmp_path / "new.csv")
+        save_csv_dataset_reference(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if n:
+            back = load_csv_dataset(tmp_path / "new.csv", n_treatments=3)
+            assert dataset_bytes(back) == dataset_bytes(ds)
+
+
+CELL_TOKENS = (
+    "1_0", "\u0661", "nan", "inf", "-inf", "1e400", "-1e400", "", " 1.5 ", "\u00a01.5",
+    "0x10", "1e", "+.5", "1.5\x00", "#1", "2.0", "-0", "1e-400",
+)
+MUTATIONS = (
+    "none", "blank line", "trailing blank line", "quoted cell", "cell token", "missing cell",
+    "extra cell", "extra cell on every row", "cr line ends", "lf line ends", "header only",
+    "no final line end", "quoted header",
+)
+
+
+def _mutate(text, mutation, data):
+    lines = text.split("\r\n")[:-1]  # the writer ends every line with \r\n
+    r = data.draw(st.integers(1, len(lines) - 1), label="row")
+    cells = lines[r].split(",")
+    c = data.draw(st.integers(0, len(cells) - 1), label="cell")
+    if mutation == "blank line":
+        lines.insert(r, "")
+    elif mutation == "trailing blank line":
+        lines.append("")
+    elif mutation == "quoted cell":
+        cells[c] = f'"{cells[c]}"'
+    elif mutation == "cell token":
+        cells[c] = data.draw(st.sampled_from(CELL_TOKENS), label="token")
+    elif mutation == "missing cell":
+        del cells[c]
+    elif mutation == "extra cell":
+        cells.append("0")
+    elif mutation == "extra cell on every row":
+        lines = [lines[0]] + [line + ",0" for line in lines[1:]]
+    elif mutation == "header only":
+        lines = lines[:1]
+    elif mutation == "quoted header":
+        lines[0] = ",".join(f'"{name}"' for name in lines[0].split(","))
+    if mutation in ("quoted cell", "cell token", "missing cell", "extra cell"):
+        lines[r] = ",".join(cells)
+    end = {"cr line ends": "\r", "lf line ends": "\n"}.get(mutation, "\r\n")
+    body = end.join(lines)
+    return body if mutation == "no final line end" else body + end
+
+
+def _load_outcome(path):
+    try:
+        return dataset_bytes(load_csv_dataset(path))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5),
+    p=st.integers(1, 3),
+    with_truth=st.booleans(),
+    mutation=st.sampled_from(MUTATIONS),
+)
+def test_fast_reader_agrees_with_strict_parser(tmp_path_factory, data, n, p, with_truth, mutation):
+    doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False))
+
+    def draw(shape):
+        return data.draw(arrays(np.float64, shape, elements=doubles))
+
+    ds = Dataset(
+        y=draw(n), d=np.arange(n) % 2, Z=draw((n, p)),
+        truth=draw((n, 2)) if with_truth else None, n_treatments=2,
+    )
+    path = tmp_path_factory.getbasetemp() / "fuzzed_dataset.csv"
+    save_csv_dataset(ds, path)
+    text = path.read_bytes().decode()
+    path.write_bytes(_mutate(text, mutation, data).encode())
+    fast = _load_outcome(path)
+    with mock.patch.object(dataio, "_fast_table", lambda path, n_cols: None):
+        strict = _load_outcome(path)
+    assert fast == strict
+    if mutation in ("none", "lf line ends", "no final line end", "quoted header"):
+        # Clean files must take the fast path, and read back bit for bit.
+        assert dataio._fast_table(path, 2 + p + 2 * with_truth) is not None
+        assert fast[:3] == dataset_bytes(ds)[:3]
 
 
 class TestRunConfig:
