@@ -1,0 +1,164 @@
+"""Alternating benchmark pairs of two checkouts, written to a JSON file.
+
+Usage, from anywhere:
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR \\
+        --workload forest-estimate --seed 1 --pairs 10 --out BENCH_10.json
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S
+--seconds 28 --trace 0`` once in each checkout, the parent first on odd
+pairs and the change first on even ones.  Every run's result object
+(its last stdout line) and report digest (from the detail line before
+it) are kept.  The output file holds one entry per (workload, seed);
+an existing file is read and the entry for this workload and seed is
+replaced, so one file collects every workload a change was measured on.
+
+Each entry gives both sides' median and quartiles of every end-to-end
+metric and the pairs the change won on each.  The script exits 1 if
+any run is not ``"correct": true`` or the two sides' report digests
+differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SECONDS = 28
+SIDES = ("parent", "change")
+METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+
+
+def commit_of(checkout: Path) -> dict:
+    """The checkout's HEAD commit and whether its tree differs from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return {"commit": None, "dirty": None}
+    return {"commit": head.stdout.strip(), "dirty": bool(git("status", "--porcelain").stdout.strip())}
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> tuple:
+    """One benchmark run in ``checkout``: its result object and its detail object."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]), json.loads(lines[-2])["detail"]
+    except (IndexError, KeyError, ValueError):
+        sys.stderr.write(proc.stderr)
+        return {"correct": False}, {}
+
+
+def _quartiles(values: list) -> list:
+    if len(values) < 2:
+        return [values[0], values[0]] if values else [None, None]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(runs: list) -> dict:
+    """Medians, quartiles, wins and checks of a list of runs.
+
+    Each run is ``{"pair": i, "side": "parent" or "change", "result":
+    ..., "report_digest": ...}``.  A pair is won by the side with the
+    lower metric (every metric here is better lower); ties count for
+    neither side.
+    """
+    by_pair = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+
+    def value(run, name):
+        if not run["result"].get("correct"):
+            return None
+        return run["result"]["metrics"][name]["value"]
+
+    metrics = {}
+    for name in METRICS:
+        sides = {side: [v for r in runs if r["side"] == side
+                        for v in [value(r, name)] if v is not None] for side in SIDES}
+        wins = {"change": 0, "parent": 0, "ties": 0}
+        for pair in by_pair.values():
+            if set(pair) != set(SIDES):
+                continue
+            p, c = value(pair["parent"], name), value(pair["change"], name)
+            if p is None or c is None:
+                continue
+            wins["change" if c < p else "parent" if p < c else "ties"] += 1
+        metrics[name] = {
+            **{side: {"median": statistics.median(v) if v else None, "quartiles": _quartiles(v),
+                      "values": v} for side, v in sides.items()},
+            "wins": wins,
+        }
+    digests = {side: sorted({r["report_digest"] for r in runs if r["side"] == side}, key=str)
+               for side in SIDES}
+    all_correct = all(
+        r["result"].get("correct") is True and r["result"].get("failed") == 0 for r in runs
+    )
+    same_digest = len(digests["parent"]) == 1 and digests["parent"] == digests["change"]
+    return {
+        "pairs": len(by_pair),
+        "metrics": metrics,
+        "report_digests": digests,
+        "all_correct": all_correct,
+        "same_digest": same_digest,
+        "ok": all_correct and same_digest,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs, machine = [], None
+    for pair in range(1, args.pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for first, side in enumerate(order):
+            result, detail = run_once(checkouts[side], args.workload, args.seed)
+            runs.append({
+                "pair": pair,
+                "side": side,
+                "ran_first": first == 0,
+                "result": result,
+                "report_digest": detail.get("report_digest"),
+                "wall_s_samples": detail.get("wall_s_samples"),
+            })
+            print(f"pair {pair} {side}: {json.dumps(result)}", file=sys.stderr)
+            machine = machine or detail.get("machine")
+
+    summary = summarize(runs)
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"entries": {}}
+    doc["entries"][f"{args.workload}/seed-{args.seed}"] = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": SECONDS,
+        "commits": {side: commit_of(path) for side, path in checkouts.items()},
+        "machine": machine,
+        **summary,
+        "runs": runs,
+    }
+    doc["entries"] = dict(sorted(doc["entries"].items()))
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(json.dumps({k: summary[k] for k in ("pairs", "all_correct", "same_digest", "ok")}))
+    return 0 if summary["ok"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

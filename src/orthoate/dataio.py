@@ -235,8 +235,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _integer(lo):
-    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+def _integer(lo, hi=None):
+    if hi is None:
+        return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+    return (lambda v: _is_int(v) and lo <= v <= hi), f"an integer in [{lo}, {hi}]"
+
+
+# Largest size or count a config may give: the forest indexes rows with
+# int32, and larger sizes end in numpy errors.
+_MAX_COUNT = 2**31 - 1
+
+
+def _count(lo):
+    return _integer(lo, _MAX_COUNT)
 
 
 def _number(test, bounds):
@@ -275,7 +286,7 @@ CONFIG_RULES = {
         "schema_version": ((lambda v: _is_int(v) and v == SCHEMA_VERSION), f"{SCHEMA_VERSION}"),
         "seed": _integer(0),
         "datasets": _list_of(_STRING, "path strings", non_empty=False),
-        "n_treatments": _nullable(_integer(2)),
+        "n_treatments": _nullable(_count(2)),
         "propensity_floor": _number(lambda v: 0 <= v < 0.5, "in [0, 0.5)"),
         "filter_infinite": _BOOL,
         "moments_from": _choice("estimation", "training"),
@@ -287,28 +298,28 @@ CONFIG_RULES = {
     "estimators": {
         "kind": _choice("dr", "dml", "higher_order"),
         "r": _nullable((_is_int, "an integer")), "k": _nullable((_is_int, "an integer")),
-        "R": _integer(1),
+        "R": _count(1),
     },
     "learners": {
         "regressor": _choice(*REGRESSORS), "propensity": _choice(*PROPENSITY_MODELS),
         "lasso_grid": _list_of(_NON_NEGATIVE, "numbers >= 0"), "logistic_l2": _NON_NEGATIVE,
-        "n_trees": _integer(1), "max_depth": _nullable(_integer(0)), "min_leaf": _integer(1),
+        "n_trees": _count(1), "max_depth": _nullable(_count(0)), "min_leaf": _count(1),
     },
     "split": {"train": _POSITIVE, "valid": _POSITIVE, "test": _POSITIVE},
     "output": {"dir": _STRING, "format": _choice("csv", "json")},
     "simulation": {
-        "Q": _integer(10), "p": _integer(1), "r_c": _SHARE, "M": _integer(1),
-        "n_treatments": _integer(2), "propensity_noise_sd": _NON_NEGATIVE,
+        "Q": _count(10), "p": _count(1), "r_c": _SHARE, "M": _count(1),
+        "n_treatments": _count(2), "propensity_noise_sd": _NON_NEGATIVE,
     },
     "sweep": {
-        "samplesize": _list_of(_integer(10), "integers >= 10"),
-        "dimension": _list_of(_integer(1), "integers >= 1"),
+        "samplesize": _list_of(_count(10), f"integers in [10, {_MAX_COUNT}]"),
+        "dimension": _list_of(_count(1), f"integers in [1, {_MAX_COUNT}]"),
         "confounding": _list_of(_SHARE, "numbers in (0, 1]"),
     },
     "verify": {
         "rk_pairs": _list_of(_PAIR, "[r, k] integer pairs", non_empty=False),
-        "include_dml": _BOOL, "dml_max_order": _integer(0), "order": _integer(1),
-        "epsilon": _POSITIVE, "n_draws": _integer(100), "n_moment_sequences": _integer(0),
+        "include_dml": _BOOL, "dml_max_order": _count(0), "order": _count(1),
+        "epsilon": _POSITIVE, "n_draws": _count(100), "n_moment_sequences": _count(0),
         "pi": _number(lambda v: 0 < v < 1, "in (0, 1)"), "tolerance": _POSITIVE,
     },
 }

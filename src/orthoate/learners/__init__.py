@@ -20,6 +20,8 @@ from .logistic import LogisticFit, fit_logistic, softmax
 
 REGRESSORS = ("lasso", "forest")
 PROPENSITY_MODELS = ("logistic", "forest")
+# Missing treatment arms named in a MissingClass message.
+_SHOWN_ARMS = 10
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,27 @@ class LearnerSpec:
         return f"{self.regressor}+{self.propensity}"
 
 
+def _check_arms(d, n_treatments: int) -> None:
+    """MissingClass naming the first arms in [0, n_treatments) that no row takes.
+
+    Costs one pass over ``d``, however large ``n_treatments`` is.
+    """
+    present = np.unique(d)
+    present = present[(present >= 0) & (present < n_treatments)]
+    n_missing = n_treatments - present.size
+    if n_missing:
+        # At most present.size of the arms below present.size + _SHOWN_ARMS
+        # are present, so the first missing ones are among them.
+        first = np.arange(min(n_treatments, present.size + _SHOWN_ARMS))
+        shown = [str(i) for i in first[~np.isin(first, present)][:_SHOWN_ARMS].tolist()]
+        if n_missing > len(shown):
+            shown.append("...")
+        raise MissingClass(
+            f"treatment arm(s) [{', '.join(shown)}] have no training rows "
+            f"({n_missing} of {n_treatments} arms)"
+        )
+
+
 def fit_nuisances(
     X, y, d, n_treatments: int, spec: LearnerSpec, seed: int = 0, floor: float = 0.0
 ) -> NuisanceFits:
@@ -62,9 +85,7 @@ def fit_nuisances(
     X = validate_features(X)
     y = np.asarray(y, dtype=float)
     d = np.asarray(d)
-    missing = [i for i in range(n_treatments) if not np.any(d == i)]
-    if missing:
-        raise MissingClass(f"treatment arm(s) {missing} have no training rows")
+    _check_arms(d, n_treatments)
     outcome = []
     for i in range(n_treatments):
         rows = d == i

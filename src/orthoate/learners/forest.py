@@ -11,15 +11,25 @@ seed reproduces predictions bit for bit.
 Trees are grown in lock step.  Every tree keeps its own depth-first
 stack (the right child is popped first) and its own random generator.
 A round pops the next node of every tree of a group and scores all of
-those nodes together on flat, segmented numpy arrays.  Each tree still
-visits its nodes in depth-first order, so it draws the same candidate
-features, and gets the same node numbers, splits and leaf values, as a
-tree grown alone, node by node.  Batching by depth instead could not be
-exact: the candidate features of a node are the k-th draw of its
-tree's generator, and k depends on the sizes of the subtrees grown
-before it.  A node that is a leaf by depth, size or purity draws
-nothing, so it is recorded when its parent splits and never enters a
-round.
+those nodes together on flat, segmented numpy arrays, so a round holds
+at most one node per tree.  Each tree still visits its nodes in
+depth-first order, so it draws the same candidate features, and gets
+the same node numbers, splits and leaf values, as a tree grown alone,
+node by node.  Batching by depth instead could not be exact: the
+candidate features of a node are the k-th draw of its tree's
+generator, and k depends on the sizes of the subtrees grown before it.
+A node that is a leaf by depth, size or purity draws nothing, so it is
+recorded when its parent splits and never enters a round.
+
+After its bootstrap sample a tree's generator is used only for those
+draws, one ``rng.permutation(p)`` per popped node, so the sequence of
+draws does not depend on the data.  It is taken ``_DRAW_BLOCK`` draws
+at a time with one ``rng.permuted`` call, which gives the same
+permutations as successive shuffles, and only the first ``mtry``
+entries of each are kept.  The stacks of a group are one int32 array
+of shape (trees, height, 4), each entry a node's (start, size, depth,
+node id), and a height per tree; the array doubles in height when a
+tree outgrows it.
 
 Scores use the same floating-point operations, in the same order, as a
 per-node computation:
@@ -41,9 +51,13 @@ per-node computation:
   feature replaces an earlier one only with a strictly larger score.
 
 Scores or leaf means that overflow raise :class:`NonFinite`, so the
-comparisons never see NaN.  A round holds about ``_BATCH_ROWS`` node
-rows at most, and ``_GROUP_TREES`` trees share one row buffer, which
-bounds the memory a fit needs besides its trees.
+comparisons never see NaN.  The memory a fit needs besides its trees is
+bounded by three constants: a round takes trees in order until their
+nodes hold ``_BATCH_ROWS`` rows, so per candidate feature its scoring
+arrays hold fewer rows than that plus those of its last node;
+``_GROUP_TREES`` trees share one row buffer; and each tree of a group
+keeps ``_DRAW_BLOCK`` draws of ``mtry`` features.  How trees are cut
+into rounds does not change any tree.
 """
 
 from __future__ import annotations
@@ -59,8 +73,12 @@ _OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
 
 # Node rows gathered into one batch of scoring work, and trees grown
 # together in lock step.
-_BATCH_ROWS = 4096
+_BATCH_ROWS = 8192
 _GROUP_TREES = 100
+# Candidate-feature draws taken from a tree's generator at once, and the
+# initial height of a tree's node stack.
+_DRAW_BLOCK = 64
+_STACK_HEIGHT = 16
 
 
 class _Tree:
@@ -202,10 +220,15 @@ class _Group:
             rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
             self.order[i * n:(i + 1) * n] = rows
             pure[i] = target[rows].max() == target[rows].min()
-        # Per tree: a stack of (start, size, depth, node id), and the
-        # number of node ids handed out.
-        self.stacks = [[] for _ in range(g)]
+        # Per tree: a stack of (start, size, depth, node id) rows and its
+        # height, and the number of node ids handed out.
+        self.stack = np.empty((g, _STACK_HEIGHT, 4), dtype=np.int32)
+        self.height = np.zeros(g, dtype=np.intp)
         self.n_nodes = np.ones(g, dtype=np.int32)
+        # Per tree: the first mtry candidates of its next _DRAW_BLOCK
+        # draws, and how many of them are used.
+        self.draws = np.empty((g, _DRAW_BLOCK, self.mtry), dtype=np.intp)
+        self.used = np.full(g, _DRAW_BLOCK)
         self.splits = []
         self.leaves = []
         tree = np.arange(g, dtype=np.int32)
@@ -214,19 +237,20 @@ class _Group:
 
     def grow(self):
         while True:
-            live = [i for i, stack in enumerate(self.stacks) if stack]
-            if not live:
+            live = np.flatnonzero(self.height).astype(np.int32)
+            if not live.size:
                 return self._trees()
-            batch, rows = [], 0
-            for i in live:
-                node = self.stacks[i].pop()
-                batch.append((i, *node))
-                rows += node[1]
-                if rows >= _BATCH_ROWS:
-                    self._round(batch)
-                    batch, rows = [], 0
-            if batch:
-                self._round(batch)
+            self.height[live] -= 1
+            start, size, depth, node = self.stack[live, self.height[live]].T
+            # A round takes the next trees in order up to and including
+            # the one whose node brings its rows to _BATCH_ROWS.
+            rows = np.cumsum(size)
+            lo = 0
+            while lo < live.size:
+                hi = int(np.searchsorted(rows, (rows[lo - 1] if lo else 0) + _BATCH_ROWS)) + 1
+                at = slice(lo, hi)
+                self._round(live[at], start[at], size[at], depth[at], node[at])
+                lo = hi
 
     def _place(self, tree, node, start, size, depth, pure):
         """Record the new nodes that are leaves; push the others on their trees' stacks."""
@@ -235,20 +259,29 @@ class _Group:
             leaf |= depth >= self.max_depth
         self.leaves.append(np.stack([tree[leaf], node[leaf], start[leaf], size[leaf]]))
         pending = ~leaf
-        for t, a, s, d, v in zip(tree[pending].tolist(), start[pending].tolist(),
-                                 size[pending].tolist(), depth[pending].tolist(),
-                                 node[pending].tolist()):
-            self.stacks[t].append((a, s, d, v))
+        tree = tree[pending]
+        # A tree gets at most two new nodes at once, its left child then
+        # its right child, which lands on top and is popped first.
+        slot = self.height[tree]
+        slot[1:] += tree[1:] == tree[:-1]
+        if slot.size and slot.max() >= self.stack.shape[1]:
+            self.stack = np.concatenate([self.stack, np.empty_like(self.stack)], axis=1)
+        self.stack[tree, slot] = np.stack([start, size, depth, node], axis=1)[pending]
+        self.height += np.bincount(tree, minlength=self.height.size)
 
-    def _round(self, batch):
-        """Split one node of each tree in ``batch``, or close it as a leaf."""
-        tree, start, size, depth, node = np.array(list(zip(*batch)), dtype=np.int32)
-        # Each node's candidate features: rng.permutation(p)[:mtry],
-        # which shuffles arange(p) in place.
-        perms = np.tile(np.arange(self.X.shape[1]), (tree.size, 1))
-        for t, perm in zip(tree.tolist(), perms):
-            self.rngs[t].shuffle(perm)
-        found, feat, thr = self._best_splits(start, size, perms[:, :self.mtry])
+    def _round(self, tree, start, size, depth, node):
+        """Split one node of each tree in ``tree``, or close it as a leaf."""
+        # Each node's candidate features: rng.permutation(p)[:mtry], the
+        # next draw of its tree's generator.  A tree's draws do not
+        # depend on its data, so they are taken _DRAW_BLOCK at a time.
+        spent = tree[self.used[tree] == _DRAW_BLOCK]
+        for t in spent.tolist():
+            block = np.tile(np.arange(self.X.shape[1]), (_DRAW_BLOCK, 1))
+            self.draws[t] = self.rngs[t].permuted(block, axis=1)[:, :self.mtry]
+        self.used[spent] = 0
+        feats = self.draws[tree, self.used[tree]]
+        self.used[tree] += 1
+        found, feat, thr = self._best_splits(start, size, feats)
         closed = ~found
         self.leaves.append(np.stack([tree[closed], node[closed], start[closed], size[closed]]))
         if feat.size:

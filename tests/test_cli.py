@@ -195,6 +195,19 @@ class TestFailedDataset:
         assert [r["n_datasets"] for r in summary["rows"]] == [1, 1, 1]
 
 
+    def test_huge_treatment_label_fails_the_dataset(self, workspace, capsys):
+        # One label of 3,000,000 makes a 3,000,001-arm dataset whose
+        # arms are almost all missing.
+        rng = np.random.default_rng(0)
+        lines = ["y,d,z1"] + [f"{rng.normal()!r},{i % 3},{rng.normal()!r}" for i in range(40)]
+        (workspace / "big.csv").write_text("\n".join(lines + ["0.5,3000000,0.1"]) + "\n")
+        cfg = write_json(workspace / "cfg.json", base_config(datasets=["big.csv"]))
+        assert main(["estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: big.csv: treatment arm(s) [3, 4, 5," in err
+        assert "(2999997 of 3000001 arms)" in err
+
+
 class TestOverflow:
     def test_forest_overflow_fails_the_dataset(self, workspace, capsys):
         main(["simulate", "--config", write_json(workspace / "sim.json", base_config()), "--out", "data"])
@@ -342,6 +355,11 @@ BAD_VALUES = [
     (("verify", "tolerance"), "x", "verify.tolerance"),
     (("verify", "dml_max_order"), "a", "verify.dml_max_order"),
     (("verify", "include_dml"), "no", "verify.include_dml"),
+    # Sizes past int32 would end in a numpy traceback.
+    (("simulation", "Q"), 10**20, "simulation.Q"),
+    (("simulation", "p"), 10**20, "simulation.p"),
+    (("learners", 0, "n_trees"), 10**20, "learners[0].n_trees"),
+    (("sweep", "samplesize"), [250, 10**20], "sweep.samplesize"),
 ]
 
 
@@ -360,3 +378,11 @@ def test_bad_config_value_is_named_config_error(workspace, capsys, path, value, 
     assert err.startswith("config error: ") and "Traceback" not in err
     assert f"\n  {name}: must be " in err
     assert not (workspace / "data").exists()
+
+
+def test_size_bound_is_stated(workspace, capsys):
+    cfg = base_config()
+    cfg["simulation"]["Q"] = 10**20
+    assert main(["simulate", "--config", write_json(workspace / "cfg.json", cfg)]) == 1
+    assert ("\n  simulation.Q: must be an integer in [10, 2147483647], "
+            "got 100000000000000000000\n") in capsys.readouterr().err

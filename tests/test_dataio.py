@@ -352,7 +352,7 @@ class TestRunConfig:
             load_run_config(cfg_path)
         for line in (
             "seed: must be an integer >= 0, got 1.0",
-            "simulation.Q: must be an integer >= 10, got 1000.0",
+            "simulation.Q: must be an integer in [10, 2147483647], got 1000.0",
             "propensity_floor: must be a number in [0, 0.5), got false",
             "verify.epsilon: must be a number > 0, got Infinity",
         ):

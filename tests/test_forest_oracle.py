@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoate import fit_forest_classifier, fit_forest_regressor
-from orthoate.learners.forest import _GROUP_TREES
+from orthoate.learners.forest import _DRAW_BLOCK, _GROUP_TREES, _STACK_HEIGHT
 
 from forest_reference import reference_trees
 
@@ -105,3 +105,60 @@ def test_large_leaves_equal_reference(max_depth):
     y = rng.normal(size=1500) * 1e3
     params = dict(n_trees=3, max_depth=max_depth, min_leaf=5, seed=4, bootstrap=True)
     assert_same_trees(fit_forest_regressor(X, y, **params).trees, reference_trees(X, y, **params))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 10, 17])
+@pytest.mark.parametrize("k", [1, _DRAW_BLOCK, 3 * _DRAW_BLOCK + 1])
+def test_block_of_draws_equals_successive_shuffles(p, k):
+    # The grower takes a tree's candidate features k draws at a time
+    # with one call to permuted; the reference shuffles once per node.
+    # Both must give the same permutations and leave the generator in
+    # the same state.
+    block_rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(p,)))
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(p,)))
+    block = block_rng.permuted(np.tile(np.arange(p), (k, 1)), axis=1)
+    for row in block:
+        perm = np.arange(p)
+        shuffle_rng.shuffle(perm)
+        np.testing.assert_array_equal(row, perm)
+    assert block_rng.bit_generator.state == shuffle_rng.bit_generator.state
+
+
+def _depth(tree):
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for node in np.flatnonzero(tree.feature >= 0):
+        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return int(depth.max())
+
+
+def test_trees_that_pop_more_nodes_than_one_draw_block():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(300, 3))
+    y = X[:, 0] + rng.normal(size=300)
+    params = dict(n_trees=4, max_depth=None, min_leaf=1, seed=2, bootstrap=True)
+    fit = fit_forest_regressor(X, y, **params)
+    assert min(np.count_nonzero(t.feature >= 0) for t in fit.trees) > 2 * _DRAW_BLOCK
+    assert_same_trees(fit.trees, reference_trees(X, y, **params))
+
+
+def test_tree_deeper_than_the_initial_stack():
+    # Sorted rows in pairs of geometrically shrinking targets: each
+    # split cuts off the first pair, which stays on the stack while the
+    # rest is split again, so the stack grows by one node per level.
+    n = 80
+    X = np.arange(n, dtype=float).reshape(-1, 1)
+    y = -(8.0 ** (n // 2 - np.arange(n) // 2)) * np.where(np.arange(n) % 2, 1.5, 1.0)
+    params = dict(n_trees=2, max_depth=None, min_leaf=1, seed=0, bootstrap=False)
+    fit = fit_forest_regressor(X, y, **params)
+    assert _depth(fit.trees[0]) > 2 * _STACK_HEIGHT
+    assert_same_trees(fit.trees, reference_trees(X, y, **params))
+
+
+def test_single_feature_forest():
+    # p = 1: mtry is 1 and every candidate draw is [0].
+    rng = np.random.default_rng(4)
+    X = np.round(rng.normal(size=(200, 1)), 2)
+    d = (X[:, 0] + rng.normal(size=200) > 0).astype(int)
+    params = dict(n_trees=5, max_depth=None, min_leaf=2, seed=9, bootstrap=True)
+    fit = fit_forest_classifier(X, d, n_classes=2, **params)
+    assert_same_trees(fit.trees, reference_trees(X, d.astype(float), n_classes=2, **params))

@@ -50,8 +50,9 @@ def _fit_bytes(fit) -> int:
 def test_fit_working_memory_is_bounded():
     # Memory a fit needs besides the trees it returns.  The node-by-node
     # grower of tests/forest_reference.py needs about 0.6 MiB here, and
-    # lock-step growth about 0.8 MiB; scoring the nodes of all trees at
-    # once, with no cap on the rows per batch, needs about 8 MiB.
+    # lock-step growth in rounds of up to 8,192 node rows about 1.2 MiB;
+    # scoring the nodes of all trees at once, with no cap on the rows
+    # per batch, needs about 8 MiB.
     rng = np.random.default_rng(101)
     n = 2240
     X = rng.normal(size=(n, 2))

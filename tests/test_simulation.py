@@ -153,6 +153,20 @@ class TestFitNuisances:
         with pytest.raises(MissingClass, match=r"arm\(s\) \[1\]"):
             fit_nuisances(X, y, d, 3, spec, seed=0)
 
+    @pytest.mark.parametrize("n_treatments", [3_000_001, 10**18])
+    def test_huge_arm_count_is_named_briefly(self, n_treatments):
+        # Finding the missing arms must not loop over every arm.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(41, 2))
+        y = rng.normal(size=41)
+        d = np.r_[np.arange(40) % 3, n_treatments - 1]
+        with pytest.raises(MissingClass) as err:
+            fit_nuisances(X, y, d, n_treatments, LearnerSpec(), seed=0)
+        message = str(err.value)
+        assert len(message) < 200
+        assert "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...]" in message
+        assert f"({n_treatments - 4} of {n_treatments} arms)" in message
+
 
 class TestNoisyPropensity:
     class _Base:
