@@ -32,7 +32,7 @@ from .exceptions import (
     ShapeMismatch,
     ZeroDenominator,
 )
-from .learners.base import integer_labels
+from .learners.base import check_label_range, integer_labels
 from .score import Moments, compute_coefficients, correction_values
 
 
@@ -60,8 +60,7 @@ class Dataset:
             raise NonFinite("y and Z must be finite")
         d = integer_labels(d_raw, "treatments")
         n_treat = self.n_treatments if self.n_treatments is not None else int(d.max()) + 1
-        if d.size and d.max() >= n_treat:
-            raise ValueError(f"treatment label {d.max()} outside 0..{n_treat - 1}")
+        check_label_range(d, n_treat, "treatments")
         truth = self.truth
         if truth is not None:
             truth = np.asarray(truth, dtype=float)

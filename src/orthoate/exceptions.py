@@ -51,3 +51,7 @@ class SchemaError(OrthoError):
 
 class ConfigError(OrthoError):
     """A run configuration is invalid; message lists every violation."""
+
+
+class InvalidArgument(OrthoError, ValueError):
+    """An argument lies outside its documented domain."""

@@ -15,18 +15,23 @@ coordinate-wise sigmoids).  Propensity directions are rescaled per
 observation so every stencil point keeps the perturbed propensity
 inside (0.01, 0.99).
 
+Cost: each direction evaluates the correction factor 2*order+1 times,
+once per propensity offset, and forms stencil values on demand, so
+memory is linear in ``n_draws`` whatever the size of the stencil grid.
+
 The model argument supplies the data law and true nuisances; any object
-with ``sample_potential(n, rng)``, ``propensities(Z)``,
+with ``n_treatments``, ``sample_potential(n, rng)``, ``propensities(Z)``,
 ``outcome_mean(i, Z)`` and ``population_theta(i)`` works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .exceptions import InvalidOrder
+from .exceptions import InvalidArgument, InvalidOrder
 from .score import Moments, OrthoCoefficients, binomial, correction_values, dml_correction_values
 
 PROPENSITY_LO = 0.01
@@ -96,7 +101,6 @@ def _direction_pair(name: str, Z: np.ndarray):
     if name == "sigmoid":
         h = (1.0 / (1.0 + np.exp(-Z))).mean(axis=1)
         return h, h.copy()
-    raise ValueError(f"unknown direction pair '{name}'")
 
 
 def _clamp_propensity_direction(a0: np.ndarray, h_a: np.ndarray, reach: float) -> np.ndarray:
@@ -130,22 +134,31 @@ def check_orthogonality(
     derivative is flagged when |estimate| > 3 * se.  Derivatives with
     a1 >= 2 are exactly zero because every score here is affine in the
     outcome regression; they are reported as exact without a stencil.
+
+    Each direction costs 2*order+1 correction evaluations; stencil
+    values are formed on demand (only outcome offsets -1..1 are read),
+    so memory is linear in ``n_draws``.  Bad arguments raise
+    :class:`InvalidArgument` before the draw.
     """
     if order < 1:
         raise InvalidOrder("order must be >= 1")
+    if not (isinstance(n_draws, (int, np.integer)) and n_draws >= 2):
+        raise InvalidArgument(f"n_draws must be an integer >= 2, got {n_draws!r}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise InvalidArgument(f"epsilon must be finite and > 0, got {epsilon!r}")
+    n_arms = model.n_treatments
+    if not (isinstance(treatment, (int, np.integer)) and 0 <= treatment < n_arms):
+        raise InvalidArgument(f"treatment must be an integer in [0, {n_arms}), got {treatment!r}")
+    unknown = [name for name in directions if name not in DIRECTION_NAMES]
+    if unknown:
+        raise InvalidArgument(f"unknown direction pair(s) {unknown} (choices: {DIRECTION_NAMES})")
     if coeffs is None:
-        label = "dml"
-
-        def correction(t_ind, a):
-            return dml_correction_values(t_ind, a)
-
+        label, correction = "dml", dml_correction_values
+    elif moments is None:
+        raise InvalidArgument("moments are required alongside coefficients")
     else:
-        if moments is None:
-            raise ValueError("moments are required alongside coefficients")
         label = f"ho({coeffs.r},{coeffs.k})"
-
-        def correction(t_ind, a):
-            return correction_values(t_ind, a, coeffs, moments)
+        correction = partial(correction_values, coeffs=coeffs, moments=moments)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     Z, d, y_pot = model.sample_potential(n_draws, rng)
@@ -155,43 +168,28 @@ def check_orthogonality(
     y = y_pot[:, treatment]
     theta = model.population_theta(treatment)
 
-    alphas = [
-        (a1, a2)
-        for total in range(1, order + 1)
-        for a1 in range(total + 1)
-        for a2 in [total - a1]
-    ]
+    alphas = [(a1, total - a1) for total in range(1, order + 1) for a1 in range(total + 1)]
 
     entries = []
-    offsets = range(-order, order + 1)
     for name in directions:
         h_g, h_a = _direction_pair(name, Z)
         h_a = _clamp_propensity_direction(a0, h_a, order * epsilon)
-        grid = {}
-        for os_ in offsets:
-            g_pert = g0 + os_ * epsilon * h_g
-            for ot in offsets:
-                a_pert = a0 + ot * epsilon * h_a
-                A = correction(t_ind, a_pert)
-                grid[(os_, ot)] = theta - g_pert - (y - g_pert) * A
+        A = {ot: correction(t_ind, a0 + ot * epsilon * h_a) for ot in range(-order, order + 1)}
         for a1, a2 in alphas:
             if a1 >= 2:
-                entries.append(
-                    DerivativeEstimate((a1, a2), name, 0.0, 0.0, False, exact=True)
-                )
+                entries.append(DerivativeEstimate((a1, a2), name, 0.0, 0.0, False, exact=True))
                 continue
             comb = np.zeros(n_draws)
             for j in range(a1 + 1):
                 wj = (-1.0) ** j * binomial(a1, j)
+                g_pert = g0 + (a1 - 2 * j) * epsilon * h_g
                 for l in range(a2 + 1):
                     w = wj * (-1.0) ** l * binomial(a2, l)
-                    comb += w * grid[(a1 - 2 * j, a2 - 2 * l)]
+                    comb += w * (theta - g_pert - (y - g_pert) * A[a2 - 2 * l])
             comb /= (2.0 * epsilon) ** (a1 + a2)
             est = float(comb.mean())
             se = float(comb.std(ddof=1) / np.sqrt(n_draws))
-            entries.append(
-                DerivativeEstimate((a1, a2), name, est, se, abs(est) > 3.0 * se)
-            )
+            entries.append(DerivativeEstimate((a1, a2), name, est, se, abs(est) > 3.0 * se))
     return OrthogonalityReport(
         score_label=label,
         treatment=treatment,

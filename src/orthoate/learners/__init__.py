@@ -13,15 +13,13 @@ import numpy as np
 
 from ..exceptions import ConfigError, MissingClass
 from ..seeds import seed_int
-from .base import NuisanceFits, Standardizer, validate_features
+from .base import NuisanceFits, Standardizer, integer_labels, missing_classes, validate_features
 from .forest import ForestClassifierFit, ForestRegressorFit, fit_forest_classifier, fit_forest_regressor
 from .lasso import LassoFit, fit_lasso, fit_lasso_cv, kkt_residual
 from .logistic import LogisticFit, fit_logistic, softmax
 
 REGRESSORS = ("lasso", "forest")
 PROPENSITY_MODELS = ("logistic", "forest")
-# Missing treatment arms named in a MissingClass message.
-_SHOWN_ARMS = 10
 
 
 @dataclass(frozen=True)
@@ -49,27 +47,6 @@ class LearnerSpec:
         return f"{self.regressor}+{self.propensity}"
 
 
-def _check_arms(d, n_treatments: int) -> None:
-    """MissingClass naming the first arms in [0, n_treatments) that no row takes.
-
-    Costs one pass over ``d``, however large ``n_treatments`` is.
-    """
-    present = np.unique(d)
-    present = present[(present >= 0) & (present < n_treatments)]
-    n_missing = n_treatments - present.size
-    if n_missing:
-        # At most present.size of the arms below present.size + _SHOWN_ARMS
-        # are present, so the first missing ones are among them.
-        first = np.arange(min(n_treatments, present.size + _SHOWN_ARMS))
-        shown = [str(i) for i in first[~np.isin(first, present)][:_SHOWN_ARMS].tolist()]
-        if n_missing > len(shown):
-            shown.append("...")
-        raise MissingClass(
-            f"treatment arm(s) [{', '.join(shown)}] have no training rows "
-            f"({n_missing} of {n_treatments} arms)"
-        )
-
-
 def fit_nuisances(
     X, y, d, n_treatments: int, spec: LearnerSpec, seed: int = 0, floor: float = 0.0
 ) -> NuisanceFits:
@@ -78,14 +55,19 @@ def fit_nuisances(
     Callers pass training-fold rows only; nothing here sees the
     estimation fold.  Each outcome regressor is trained on the rows
     actually assigned its treatment, so an arm without training rows
-    raises :class:`MissingClass` before anything is fit.  Seeds for
+    raises :class:`MissingClass`, and a label outside [0, n_treatments)
+    :class:`InvalidArgument`, before anything is fit.  Seeds for
     sub-fits derive from ``seed`` by fixed spawn keys, so refits are
     reproducible.
     """
     X = validate_features(X)
     y = np.asarray(y, dtype=float)
-    d = np.asarray(d)
-    _check_arms(d, n_treatments)
+    d = integer_labels(d, "treatment labels")
+    n_missing, shown = missing_classes(d, n_treatments, "treatment labels")
+    if n_missing:
+        raise MissingClass(
+            f"treatment arm(s) {shown} have no training rows ({n_missing} of {n_treatments} arms)"
+        )
     outcome = []
     for i in range(n_treatments):
         rows = d == i

@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import MissingClass, NonFinite, ShapeMismatch
+from ..exceptions import InvalidArgument, MissingClass, NonFinite, ShapeMismatch
+
+# Labels named in an error message.
+SHOWN_LABELS = 10
 
 
 def validate_features(X, p: int | None = None) -> np.ndarray:
@@ -21,7 +24,7 @@ def validate_features(X, p: int | None = None) -> np.ndarray:
 
 
 def integer_labels(d, what: str = "labels") -> np.ndarray:
-    """``d`` as int64 labels, or ValueError unless each is an integer in [0, 2**63).
+    """``d`` as int64 labels, or InvalidArgument unless each is an integer in [0, 2**63).
 
     Values are checked before the cast, so NaN, infinities, fractions and
     out-of-range values fail without a cast warning.
@@ -29,17 +32,48 @@ def integer_labels(d, what: str = "labels") -> np.ndarray:
     d = np.asarray(d)
     f = d.astype(float)
     if not np.all((f >= 0) & (f < 2.0**63) & (f == np.floor(f))):
-        raise ValueError(f"{what} must be non-negative integers")
+        raise InvalidArgument(f"{what} must be non-negative integers")
     return d.astype(np.int64)
 
 
+def _listing(values: np.ndarray, count: int) -> str:
+    """The first SHOWN_LABELS of ``values`` as a list, ending in "..." if ``count`` is larger."""
+    shown = [str(v) for v in values[:SHOWN_LABELS].tolist()]
+    if count > len(shown):
+        shown.append("...")
+    return f"[{', '.join(shown)}]"
+
+
+def check_label_range(labels: np.ndarray, k: int, what: str = "labels") -> None:
+    """InvalidArgument naming the first non-negative ``labels`` that are >= ``k``."""
+    if labels.size and labels.max() >= k:
+        outside = np.unique(labels[labels >= k])
+        raise InvalidArgument(f"{what} must lie in [0, {k}), got {_listing(outside, outside.size)}")
+
+
+def missing_classes(labels: np.ndarray, k: int, what: str = "labels") -> tuple[int, str]:
+    """How many classes in [0, k) no label takes, and a listing of the first of them.
+
+    Labels >= ``k`` raise InvalidArgument.  Costs one pass over
+    ``labels``, however large ``k`` is: nothing is sized by ``k``.
+    """
+    present = np.unique(labels)
+    check_label_range(present, k, what)
+    n_missing = k - present.size
+    if not n_missing:
+        return 0, ""
+    # At most present.size of the classes below present.size + SHOWN_LABELS
+    # are present, so the first missing ones are among them.
+    first = np.arange(min(k, present.size + SHOWN_LABELS))
+    return n_missing, _listing(first[~np.isin(first, present)], n_missing)
+
+
 def class_count(labels: np.ndarray, n_classes: int | None) -> int:
-    """The class count, or MissingClass if some class has no label."""
+    """The class count, or InvalidArgument/MissingClass if the labels do not fill it."""
     k = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    present = np.bincount(labels, minlength=k) > 0
-    if labels.max() >= k or not present.all():
-        missing = [i for i in range(k) if i >= present.size or not present[i]]
-        raise MissingClass(f"classes absent from the training labels: {missing}")
+    n_missing, shown = missing_classes(labels, k)
+    if n_missing:
+        raise MissingClass(f"classes absent from the training labels: {shown}")
     return k
 
 

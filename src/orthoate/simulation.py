@@ -465,6 +465,18 @@ def _sweep_task(args):
     return rows
 
 
+def _env_workers() -> int:
+    """The sweep worker count from ``ORTHOATE_WORKERS`` (default 1), or ConfigError."""
+    raw = os.environ.get("ORTHOATE_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"ORTHOATE_WORKERS: must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def run_sweep(
     cfg: SimConfig,
     kind: str,
@@ -532,7 +544,7 @@ def run_sweep(
                 )
             )
     if workers is None:
-        workers = int(os.environ.get("ORTHOATE_WORKERS", "1"))
+        workers = _env_workers()
     report = SweepReport()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

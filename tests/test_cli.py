@@ -336,6 +336,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
 
+    # Only values that start no worker process: a large one would start that many.
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_worker_count_is_config_error(self, workspace, capsys, monkeypatch, value):
+        monkeypatch.setenv("ORTHOATE_WORKERS", value)
+        cfg = write_json(workspace / "cfg.json", base_config())
+        assert main(["sweep", "--config", cfg, "--sweep", "samplesize"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: ORTHOATE_WORKERS: must be an integer >= 1, got '{value}'\n"
+
 
 # (path into base_config, bad value, the name its error line gives it).
 BAD_VALUES = [

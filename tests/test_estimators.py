@@ -7,6 +7,8 @@ from orthoate import (
     EmptyFold,
     EmptyResidualSet,
     EstimatorSpec,
+    InvalidArgument,
+    MissingClass,
     Moments,
     NuisanceFits,
     ShapeMismatch,
@@ -140,6 +142,32 @@ def test_unrepresentable_label_is_value_error(caller, bad):
     # A cast before the check would warn on each of these.
     with pytest.raises(ValueError, match="must be non-negative integers"):
         LABEL_CALLERS[caller](np.array([0.0, 1.0, bad]))
+
+
+CLASSIFIERS = {"fit_forest_classifier": fit_forest_classifier, "fit_logistic": fit_logistic}
+
+
+@pytest.mark.parametrize("bad", [3_000_000, 10**18])
+@pytest.mark.parametrize("caller", sorted(CLASSIFIERS))
+def test_label_beyond_the_class_count_is_named(caller, bad):
+    # Sizing a class count by the largest label allocated bad + 1 counts.
+    d = np.r_[np.arange(40) % 3, bad]
+    with pytest.raises(InvalidArgument, match=rf"labels must lie in \[0, 3\), got \[{bad}\]"):
+        CLASSIFIERS[caller](np.zeros((d.size, 1)), d, n_classes=3)
+
+
+@pytest.mark.parametrize("caller", sorted(CLASSIFIERS))
+def test_huge_class_count_is_named_briefly(caller):
+    # Nothing may be sized by n_classes: a count array here would need 8 EiB.
+    d = np.arange(30) % 3
+    with pytest.raises(MissingClass, match=r"labels: \[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, \.\.\.\]$"):
+        CLASSIFIERS[caller](np.zeros((d.size, 1)), d, n_classes=10**18)
+
+
+def test_out_of_range_labels_are_listed_briefly():
+    d = np.r_[np.arange(40) % 3, np.arange(100, 120)]
+    with pytest.raises(InvalidArgument, match=r"got \[100, 101, .*, 109, \.\.\.\]$"):
+        fit_logistic(np.zeros((d.size, 1)), d, n_classes=3)
 
 
 class TestBaselines:

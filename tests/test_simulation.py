@@ -4,6 +4,7 @@ import pytest
 from orthoate import (
     ConfigError,
     EstimatorSpec,
+    InvalidArgument,
     LearnerSpec,
     MissingClass,
     NoisyPropensity,
@@ -15,6 +16,7 @@ from orthoate import (
     run_estimators,
     run_sweep,
 )
+from orthoate import learners
 from orthoate.simulation import SweepReport, SweepRow
 
 
@@ -166,6 +168,24 @@ class TestFitNuisances:
         assert len(message) < 200
         assert "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...]" in message
         assert f"({n_treatments - 4} of {n_treatments} arms)" in message
+
+
+    @pytest.mark.parametrize("bad, match", [
+        (3_000_000, r"treatment labels must lie in \[0, 3\), got \[3000000\]"),
+        (10**18, r"treatment labels must lie in \[0, 3\), got \[1000000000000000000\]"),
+        (-1, "treatment labels must be non-negative integers"),
+    ])
+    def test_label_outside_the_arms_is_named_before_any_fit(self, monkeypatch, bad, match):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("an outcome model was fit")
+
+        monkeypatch.setattr(learners, "fit_lasso_cv", no_fit)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(41, 2))
+        y = rng.normal(size=41)
+        d = np.r_[np.arange(40) % 3, bad]
+        with pytest.raises(InvalidArgument, match=match):
+            fit_nuisances(X, y, d, 3, LearnerSpec(), seed=0)
 
 
 class TestNoisyPropensity:
