@@ -9,7 +9,7 @@ import numpy as np
 from ..exceptions import InvalidArgument, MissingClass, NonFinite, ShapeMismatch
 
 # Labels named in an error message.
-SHOWN_LABELS = 10
+_SHOWN_LABELS = 10
 
 
 def validate_features(X, p: int | None = None) -> np.ndarray:
@@ -37,8 +37,8 @@ def integer_labels(d, what: str = "labels") -> np.ndarray:
 
 
 def _listing(values: np.ndarray, count: int) -> str:
-    """The first SHOWN_LABELS of ``values`` as a list, ending in "..." if ``count`` is larger."""
-    shown = [str(v) for v in values[:SHOWN_LABELS].tolist()]
+    """The first _SHOWN_LABELS of ``values`` as a list, ending in "..." if ``count`` is larger."""
+    shown = [str(v) for v in values[:_SHOWN_LABELS].tolist()]
     if count > len(shown):
         shown.append("...")
     return f"[{', '.join(shown)}]"
@@ -54,7 +54,7 @@ def check_label_range(labels: np.ndarray, k: int, what: str = "labels") -> None:
 def missing_classes(labels: np.ndarray, k: int, what: str = "labels") -> tuple[int, str]:
     """How many classes in [0, k) no label takes, and a listing of the first of them.
 
-    Labels >= ``k`` raise InvalidArgument.  Costs one pass over
+    Labels >= ``k`` raise InvalidArgument.  Costs one ``np.unique`` of
     ``labels``, however large ``k`` is: nothing is sized by ``k``.
     """
     present = np.unique(labels)
@@ -62,9 +62,9 @@ def missing_classes(labels: np.ndarray, k: int, what: str = "labels") -> tuple[i
     n_missing = k - present.size
     if not n_missing:
         return 0, ""
-    # At most present.size of the classes below present.size + SHOWN_LABELS
+    # At most present.size of the classes below present.size + _SHOWN_LABELS
     # are present, so the first missing ones are among them.
-    first = np.arange(min(k, present.size + SHOWN_LABELS))
+    first = np.arange(min(k, present.size + _SHOWN_LABELS))
     return n_missing, _listing(first[~np.isin(first, present)], n_missing)
 
 
