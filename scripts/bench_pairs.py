@@ -16,7 +16,9 @@ replaced, so one file collects every workload a change was measured on.
 Each entry gives both sides' median and quartiles of every end-to-end
 metric and the pairs the change won on each.  The script exits 1 if
 any run is not ``"correct": true`` or the two sides' report digests
-differ.
+differ.  It exits 2, before any run, if the two checkouts resolve to
+paths of unequal length: ``verify``'s peak RSS moves with the length of
+the checkout path, so only checkouts at paths of equal length compare.
 """
 
 from __future__ import annotations
@@ -127,6 +129,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
+        parser.error(
+            f"--parent {checkouts['parent']} and --change {checkouts['change']} resolve to "
+            "paths of unequal length; clone both to paths of equal length"
+        )
     runs, machine = [], None
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]

@@ -30,6 +30,7 @@ import numpy as np
 
 from .estimators import Dataset
 from .exceptions import ConfigError, InvalidOrder, OrthoError, ParseError, SchemaError
+from .gateaux import EPSILON_DOMAIN, epsilon_in_domain
 from .learners import PROPENSITY_MODELS, REGRESSORS, LearnerSpec
 from .score import _validate_orders
 from .simulation import EstimatorSpec
@@ -406,6 +407,11 @@ def load_run_config(path) -> RunConfig:
     sim, ver = out.get("sim"), out.get("verify")
     if sim and round(sim.p * sim.r_c) < 1:
         problems.append("simulation: p * r_c must round to at least one confounder")
+    if ver and not epsilon_in_domain(ver.epsilon, ver.order):
+        problems.append(
+            f"verify.epsilon: must be {EPSILON_DOMAIN} at verify.order {ver.order}, "
+            f"got {json.dumps(ver.epsilon)}"
+        )
     for r, k in ver.rk_pairs if ver else ():
         try:
             _validate_orders(r, k)

@@ -16,24 +16,31 @@ The resampling draws, for every estimation-fold unit outside a
 treatment arm, one factual residual of that arm uniformly with
 replacement; the stream for repetition u of treatment i derives from
 the master seed as SeedSequence(seed, spawn_key=(i, u)), so results are
-reproducible and independent of evaluation order.
+reproducible and independent of evaluation order.  The draws are those
+of ``Generator.integers(0, pool size)`` on that stream, produced for a
+chunk of repetitions at once (at most 8,192 draws per chunk): seed
+words from ``seeds.spawn_words``, raw words from one reused PCG64, and
+numpy's own bounded-integer rule (Lemire 2019) applied to all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .exceptions import (
     EmptyFold,
     EmptyResidualSet,
+    InvalidArgument,
     NonFinite,
     ShapeMismatch,
     ZeroDenominator,
 )
 from .learners.base import check_label_range, integer_labels
 from .score import Moments, compute_coefficients, correction_values
+from .seeds import pcg64_states
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class SplitPlan:
         if est.size == 0 or tr.size == 0:
             raise EmptyFold("both folds must be non-empty")
         if np.intersect1d(est, tr).size:
-            raise ValueError("folds must be disjoint")
+            raise InvalidArgument("folds must be disjoint")
         object.__setattr__(self, "estimation_idx", est)
         object.__setattr__(self, "training_idx", tr)
 
@@ -111,7 +118,7 @@ def make_split(n: int, ratios=(0.56, 0.14, 0.30), seed: int = 0) -> SplitPlan:
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
+        raise InvalidArgument(f"ratios must be three positive numbers summing to 1, got {ratios}")
     n_test = int(round(n * ratios[2]))
     n_train = int(round(n * ratios[0]))
     n_valid = n - n_train - n_test
@@ -132,7 +139,7 @@ def estimate_moments(d, pi_hat, treatment: int, max_order: int) -> Moments:
     if d.shape != pi_hat.shape or d.ndim != 1 or d.size == 0:
         raise ShapeMismatch("d and pi_hat must be matching non-empty 1-d arrays")
     if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+        raise InvalidArgument("max_order must be >= 1")
     resid = (d == treatment).astype(float) - pi_hat
     vals = [float(np.mean(resid**q)) for q in range(1, max_order + 1)]
     return Moments(np.asarray(vals))
@@ -210,6 +217,57 @@ def single_resample_pass(pool: np.ndarray, corrections: np.ndarray, n_fold: int,
     return float((draws * corrections).sum() / n_fold)
 
 
+# Draws produced per chunk of repetitions (at least one repetition per
+# chunk): bounds the working set whatever R and the fold size.
+_CHUNK_DRAWS = 8192
+
+
+def _resample_indices(seed: int, i: int, R: int, n: int, size: int):
+    """Yield ``integers(0, n, size=size)`` of each repetition u's stream, a chunk of u at a time.
+
+    The stream of u is ``default_rng(SeedSequence(seed, spawn_key=(i,
+    u)))``; each chunk has one row per u, in order.  For n < 2**32 numpy
+    maps each 32-bit output word x (the low half of a raw word first)
+    to (x * n) >> 32 and rejects x when the low 32 bits of x * n fall
+    below (2**32 - n) % n.  A row whose first ``size`` words hold a
+    rejection, and every row when n >= 2**32, is redrawn by
+    ``Generator.integers`` itself from the row's state.
+    """
+    rows = max(1, _CHUNK_DRAWS // size)
+    states = pcg64_states(seed, (i,), R)
+    bits = np.random.PCG64(0)  # its state is replaced for every row
+    gen = np.random.Generator(bits)
+    threshold = (2**32 - n) % n
+    for lo in range(0, R, rows):
+        chunk = list(islice(states, rows))
+        if n < 2**32:
+            raw = np.empty((len(chunk), (size + 1) // 2), dtype=np.uint64)
+            for row, state in enumerate(chunk):
+                bits.state = state
+                raw[row] = bits.random_raw(raw.shape[1])
+            scaled = raw.astype("<u8", copy=False).view("<u4")[:, :size].astype(np.uint64)
+            scaled *= n
+            redo = np.flatnonzero((scaled.astype(np.uint32) < threshold).any(axis=1))
+            scaled >>= 32
+            idx = scaled.view(np.int64)
+        else:
+            idx = np.empty((len(chunk), size), dtype=np.int64)
+            redo = range(len(chunk))
+        for row in redo:
+            bits.state = chunk[row]
+            idx[row] = gen.integers(0, n, size=size)
+        yield idx
+
+
+def _counterfactual_term(pool, A_c, N: int, R: int, seed: int, i: int) -> float:
+    """Mean over R repetitions of one resampling pass, each pass as ``single_resample_pass``."""
+    acc = 0.0
+    for idx in _resample_indices(seed, i, R, pool.size, A_c.size):
+        for value in ((pool[idx] * A_c).sum(axis=1) / N).tolist():
+            acc += value
+    return acc / R
+
+
 def estimate_higher_order(
     y,
     d,
@@ -241,7 +299,7 @@ def estimate_higher_order(
     residual per target unit.
     """
     if R < 1:
-        raise ValueError("R must be >= 1")
+        raise InvalidArgument("R must be >= 1")
     N = y.size
     theta = np.zeros(G.shape[1])
     moments_used = []
@@ -260,15 +318,16 @@ def estimate_higher_order(
         counter = ~factual
         if counter.any():
             A_c = A[counter]
-            acc = 0.0
-            for u in range(R):
-                rng_u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, u)))
-                if resampler is None:
-                    acc += single_resample_pass(pool, A_c, N, rng_u)
-                else:
-                    draws = np.asarray(resampler(rng_u, pool, np.flatnonzero(counter), i), dtype=float)
+            if resampler is None:
+                term_c = _counterfactual_term(pool, A_c, N, R, seed, i)
+            else:
+                acc = 0.0
+                positions = np.flatnonzero(counter)
+                for u in range(R):
+                    rng_u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, u)))
+                    draws = np.asarray(resampler(rng_u, pool, positions, i), dtype=float)
                     acc += float((draws * A_c).sum() / N)
-            term_c = acc / R
+                term_c = acc / R
         else:
             term_c = 0.0
         theta[i] = term_a + term_b + term_c

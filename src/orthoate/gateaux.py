@@ -26,6 +26,7 @@ with ``n_treatments``, ``sample_potential(n, rng)``, ``propensities(Z)``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,6 +39,18 @@ PROPENSITY_LO = 0.01
 PROPENSITY_HI = 0.99
 
 DIRECTION_NAMES = ("constant", "sigmoid")
+
+# The stencils divide by (2*epsilon)**a for a <= order, and the standard
+# errors square the result: keep the square of the largest scale a
+# finite, non-zero normal float.
+EPSILON_DOMAIN = "finite and > 0 with 2 * order * |log2(2 * epsilon)| < 1022"
+
+
+def epsilon_in_domain(epsilon, order: int) -> bool:
+    """Whether (2*epsilon)**order and its square are finite, non-zero normal floats."""
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        return False
+    return 2 * order * abs(math.log2(2.0 * float(epsilon))) < 1022
 
 
 @dataclass(frozen=True)
@@ -144,8 +157,8 @@ def check_orthogonality(
         raise InvalidOrder("order must be >= 1")
     if not (isinstance(n_draws, (int, np.integer)) and n_draws >= 2):
         raise InvalidArgument(f"n_draws must be an integer >= 2, got {n_draws!r}")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise InvalidArgument(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not epsilon_in_domain(epsilon, order):
+        raise InvalidArgument(f"epsilon must be {EPSILON_DOMAIN}, got {epsilon!r} at order {order}")
     n_arms = model.n_treatments
     if not (isinstance(treatment, (int, np.integer)) and 0 <= treatment < n_arms):
         raise InvalidArgument(f"treatment must be an integer in [0, {n_arms}), got {treatment!r}")

@@ -5,6 +5,9 @@ features with an unpenalised intercept.  Because standardised columns
 have exactly zero mean, the intercept decouples and stays at mean(y)
 throughout; each coordinate update is a closed-form soft threshold on
 the partial residual.
+
+Cross-validation standardises each training fold once and runs the
+descent for every lambda of the grid on that one standardisation.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import NonFinite, ShapeMismatch
+from ..exceptions import InvalidArgument, NonFinite, ShapeMismatch
 from .base import Standardizer, validate_features
 
 
@@ -39,43 +42,92 @@ class LassoFit:
         return self.intercept + X @ self.coef
 
 
-def fit_lasso(X, y, lam: float, max_iter: int = 1000, tol: float = 1e-7) -> LassoFit:
-    """Fit by cyclic coordinate descent until no coefficient moves by more than tol."""
+def _checked(X, y) -> tuple:
     X = validate_features(X)
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ShapeMismatch("y must be 1-d and match X rows")
     if not np.all(np.isfinite(y)):
         raise NonFinite("y contains non-finite values")
+    return X, y
+
+
+def _check_lam(lam) -> None:
     if lam < 0:
-        raise ValueError("lam must be >= 0")
-    n, p = X.shape
-    std = Standardizer.fit(X)
-    Xs = std.transform(X)
-    y_mean = y.mean()
-    w = np.zeros(p)
-    resid = y - y_mean
-    col_ss = (Xs * Xs).sum(axis=0) / n
+        raise InvalidArgument("lam must be >= 0")
+
+
+@dataclass
+class _Problem:
+    """One training set, standardised once for any number of lambdas."""
+
+    std: Standardizer
+    y: np.ndarray
+    y_mean: float
+    # (j, column j of the standardised X, its mean square) for every column
+    # of non-zero variance.  The columns are views into the row-major
+    # matrix, so each dot with the residual stays a strided BLAS dot.
+    coords: list
+
+    @classmethod
+    def of(cls, X, y) -> "_Problem":
+        std = Standardizer.fit(X)
+        Xs = std.transform(X)
+        col_ss = (Xs * Xs).sum(axis=0) / X.shape[0]
+        coords = [(j, Xs[:, j], float(ss)) for j, ss in enumerate(col_ss) if ss != 0.0]
+        return cls(std, y, y.mean(), coords)
+
+
+def _descend(prob: _Problem, lam: float, max_iter: int, tol: float) -> LassoFit:
+    """Cyclic coordinate descent until no coefficient moves by more than tol."""
+    n = prob.y.size
+    w = [0.0] * prob.std.mean.size
+    resid = prob.y - prob.y_mean
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         max_delta = 0.0
-        for j in range(p):
-            if col_ss[j] == 0.0:
-                continue
+        for j, col, ss in prob.coords:
             old = w[j]
-            rho = Xs[:, j] @ resid / n + col_ss[j] * old
-            new = _soft_threshold(rho, lam) / col_ss[j]
+            rho = col @ resid / n + ss * old
+            new = _soft_threshold(rho, lam) / ss
             if new != old:
-                resid -= Xs[:, j] * (new - old)
+                resid -= col * (new - old)
                 w[j] = new
                 max_delta = max(max_delta, abs(new - old))
         if max_delta <= tol:
             break
-    coef = w / std.scale
-    intercept = y_mean - float(coef @ std.mean)
+    coef_std = np.array(w, dtype=float)
+    coef = coef_std / prob.std.scale
+    intercept = prob.y_mean - float(coef @ prob.std.mean)
     return LassoFit(
-        intercept=intercept, coef=coef, lam=lam, n_iter=n_iter, std=std, coef_std=w.copy()
+        intercept=intercept, coef=coef, lam=lam, n_iter=n_iter, std=prob.std, coef_std=coef_std
     )
+
+
+def _held_out_errors(X, y, fold, grid, max_iter: int, tol: float) -> list:
+    """Held-out sums of squared errors, one per lambda, of fits on all rows but ``fold``.
+
+    Only the standardised training rows outlive the standardisation,
+    and only for this call.
+    """
+    mask = np.ones(y.size, dtype=bool)
+    mask[fold] = False
+    prob = _Problem.of(X[mask], y[mask])
+    X_out, y_out = X[fold], y[fold]
+    sums = []
+    for lam in grid:
+        fit = _descend(prob, lam, max_iter, tol)
+        pred = fit.intercept + X_out @ fit.coef
+        with np.errstate(over="ignore"):
+            sums.append(float(((y_out - pred) ** 2).sum()))
+    return sums
+
+
+def fit_lasso(X, y, lam: float, max_iter: int = 1000, tol: float = 1e-7) -> LassoFit:
+    """Fit by cyclic coordinate descent until no coefficient moves by more than tol."""
+    X, y = _checked(X, y)
+    _check_lam(lam)
+    return _descend(_Problem.of(X, y), lam, max_iter, tol)
 
 
 def kkt_residual(fit: LassoFit, X, y) -> float:
@@ -109,26 +161,28 @@ def fit_lasso_cv(
     max_iter: int = 1000,
     tol: float = 1e-7,
 ) -> LassoFit:
-    """Pick lam from ``grid`` by K-fold cross-validated MSE, then refit on all rows."""
+    """Pick lam from ``grid`` by K-fold cross-validated MSE, then refit on all rows.
+
+    Each training fold is standardised once and shared by every lambda;
+    the held-out fold is predicted as ``intercept + X @ coef``, as
+    ``LassoFit.predict`` does.
+    """
     X = validate_features(X)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     grid = tuple(grid)
     if not grid:
-        raise ValueError("lam grid must be non-empty")
+        raise InvalidArgument("lam grid must be non-empty")
     if len(grid) == 1 or n < 2 * n_folds:
         return fit_lasso(X, y, grid[0], max_iter=max_iter, tol=tol)
+    X, y = _checked(X, y)
+    for lam in grid:
+        _check_lam(lam)
     perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
     folds = np.array_split(perm, n_folds)
     errs = np.zeros(len(grid))
     for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        for i, lam in enumerate(grid):
-            fit = fit_lasso(X[mask], y[mask], lam, max_iter=max_iter, tol=tol)
-            pred = fit.predict(X[fold])
-            with np.errstate(over="ignore"):
-                errs[i] += float(((y[fold] - pred) ** 2).sum())
+        errs += _held_out_errors(X, y, fold, grid, max_iter, tol)
     if not np.all(np.isfinite(errs)):
         raise NonFinite("lasso cross-validation errors overflow; rescale the outcome")
     best = grid[int(np.argmin(errs))]

@@ -64,3 +64,19 @@ def test_unparsed_run_is_incorrect_and_left_out():
     assert summary["metrics"]["wall_s"]["change"]["values"] == [1.0]
     assert summary["metrics"]["wall_s"]["wins"] == {"change": 1, "parent": 0, "ties": 0}
     assert not summary["ok"]
+
+
+def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    parent, change = tmp_path / "parent", tmp_path / "change2"
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                          "verify", "--seed", "1", "--pairs", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(parent) in err and str(change) in err and "unequal length" in err
+    assert not out.exists()

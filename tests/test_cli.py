@@ -305,6 +305,19 @@ class TestVerify:
         cfg = write_json(workspace / "cfg.json", base_config(verify={"rk_pairs": []}))
         assert main(["verify", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("epsilon", [1e100, 1e-200])
+    def test_epsilon_outside_its_domain_is_config_error(self, workspace, capsys, epsilon):
+        # At the parent 1e100 ended in an OverflowError traceback and 1e-200
+        # in 0.0 estimates after RuntimeWarnings.
+        cfg = write_json(workspace / "cfg.json", base_config(
+            verify={"rk_pairs": [[2, 2]], "order": 4, "n_draws": 100, "epsilon": epsilon},
+        ))
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert "\n  verify.epsilon: must be finite and > 0 with " in err
+        assert f"at verify.order 4, got {json.dumps(epsilon)}" in err
+
 
 class TestExitCodes:
     def test_help_exits_zero(self):
@@ -364,6 +377,9 @@ BAD_VALUES = [
     (("verify", "tolerance"), "x", "verify.tolerance"),
     (("verify", "dml_max_order"), "a", "verify.dml_max_order"),
     (("verify", "include_dml"), "no", "verify.include_dml"),
+    # The stencil scale (2 * epsilon) ** order would overflow or underflow.
+    (("verify", "epsilon"), 1e100, "verify.epsilon"),
+    (("verify", "epsilon"), 1e-200, "verify.epsilon"),
     # Sizes past int32 would end in a numpy traceback.
     (("simulation", "Q"), 10**20, "simulation.Q"),
     (("simulation", "p"), 10**20, "simulation.p"),

@@ -362,6 +362,9 @@ class TestRunConfig:
         ({"verify": {"rk_pairs": [[2, 2], [2, 3]]}}, r"verify\.rk_pairs: k must satisfy 2 <= k"),
         ({"verify": {"rk_pairs": [[17, 2]]}}, r"verify\.rk_pairs: r must not exceed 16"),
         ({"simulation": {"p": 1, "r_c": 0.4}}, r"simulation: p \* r_c must round to at least one"),
+        ({"verify": {"epsilon": 1e100, "order": 4}},
+         r"verify\.epsilon: must be finite and > 0 with .* at verify\.order 4, got 1e\+100"),
+        ({"verify": {"epsilon": 1e-200}}, r"verify\.epsilon: .* at verify\.order 2, got 1e-200"),
     ])
     def test_cross_field_rules(self, tmp_path, config, message):
         with pytest.raises(ConfigError, match=message):

@@ -1,6 +1,7 @@
 """The Gateaux stencil: exactness against the full-grid oracle, cost and argument checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from gateaux_reference import reference_entries
 from orthoate import SimConfig, compute_coefficients, gateaux
 from orthoate.exceptions import InvalidArgument, InvalidOrder, OrthoError
-from orthoate.gateaux import DIRECTION_NAMES, check_orthogonality
+from orthoate.gateaux import DIRECTION_NAMES, check_orthogonality, epsilon_in_domain
 
 SCORES = [(2, 2), (4, 2), (4, 3), (6, 4), None]
 N_DRAWS = 3000
@@ -117,3 +118,32 @@ def test_order_below_one_is_still_invalid_order(model):
 def test_smallest_valid_call_warns_nothing(model):
     rep = check_orthogonality(None, None, model, order=1, n_draws=2, epsilon=1e-3)
     assert all(np.isfinite(e.estimate) and np.isfinite(e.se) for e in rep.entries)
+
+
+@pytest.mark.parametrize("epsilon", [1e100, 1e200, 1e-200, 1e-39])
+def test_epsilon_whose_stencil_scale_leaves_the_float_range_is_refused(
+    model, monkeypatch, epsilon
+):
+    # At the parent 1e100 and 1e200 overflowed into a traceback at order 4,
+    # and 1e-200 returned 0.0 estimates after divide-by-zero warnings.
+    def no_draw(*args):
+        raise AssertionError("reached the Monte-Carlo draw")
+
+    monkeypatch.setattr(type(model), "sample_potential", no_draw)
+    with pytest.raises(InvalidArgument, match="epsilon"):
+        check_orthogonality(None, None, model, order=4, n_draws=100, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1e-38, 1e37])
+def test_epsilon_at_the_edges_of_its_domain_gives_finite_estimates(model, epsilon):
+    assert epsilon_in_domain(epsilon, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_orthogonality(None, None, model, order=4, n_draws=200, epsilon=epsilon)
+    assert all(np.isfinite(e.estimate) and np.isfinite(e.se) for e in report.entries)
+
+
+def test_epsilon_domain_shrinks_with_the_order():
+    assert epsilon_in_domain(0.5, 2**31 - 1)
+    assert epsilon_in_domain(1e-30, 2) and not epsilon_in_domain(1e-30, 20)
+    assert not epsilon_in_domain(float("inf"), 1) and not epsilon_in_domain(0.0, 1)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthoate import NonFinite, fit_lasso, fit_lasso_cv
+from orthoate import InvalidArgument, NonFinite, fit_lasso, fit_lasso_cv
 from orthoate.learners.lasso import kkt_residual
+
+from lasso_reference import reference_fit_lasso_cv
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +92,74 @@ def test_cv_overflow_raises_nonfinite():
     y = 1e200 * (1 + rng.normal(size=200))
     with pytest.raises(NonFinite, match="overflow"):
         fit_lasso_cv(X, y)
+
+
+def assert_same_fit(got, want):
+    assert got.lam == want.lam and got.n_iter == want.n_iter
+    assert got.intercept.hex() == want.intercept.hex()
+    assert got.coef.tobytes() == want.coef.tobytes()
+    assert got.coef_std.tobytes() == want.coef_std.tobytes()
+
+
+_grid = st.lists(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 1.0]), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    p=st.integers(1, 6),
+    grid=_grid,
+    n_folds=st.integers(2, 6),
+    seed=st.integers(0, 2**40),
+    data_seed=st.integers(0, 2**32 - 1),
+    constant_column=st.booleans(),
+)
+def test_cv_equals_the_reference(n, p, grid, n_folds, seed, data_seed, constant_column):
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n, p))
+    if constant_column:
+        X[:, 0] = 1.5  # a zero-variance column: col_ss is 0 and the coordinate is skipped
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    got = fit_lasso_cv(X, y, grid=grid, n_folds=n_folds, seed=seed, max_iter=200)
+    want = reference_fit_lasso_cv(X, y, grid=grid, n_folds=n_folds, seed=seed, max_iter=200)
+    assert_same_fit(got, want)
+
+
+def raised(fn, *args, **kwargs):
+    with pytest.raises(Exception) as exc:
+        fn(*args, **kwargs)
+    return exc.value
+
+
+@pytest.mark.parametrize(
+    "case", ["nan_y_and_negative_lam", "negative_second_lam", "y_2d", "empty_grid"]
+)
+def test_cv_errors_keep_their_order_and_messages(regression_data, case):
+    X, y, _ = regression_data
+    grid = (1e-3, 1e-2)
+    if case == "nan_y_and_negative_lam":
+        # Non-finite y raises NonFinite before any lambda is checked.  The
+        # NaN sits in the last fold, so the first fold's fit sees it.
+        y, grid = y.copy(), (-1.0, 1e-2)
+        y[np.random.default_rng(np.random.SeedSequence(0)).permutation(y.size)[-1]] = np.nan
+    elif case == "negative_second_lam":
+        grid = (1e-2, -1.0)
+    elif case == "y_2d":
+        y = y[:, None]
+    else:
+        grid = ()
+    got = raised(fit_lasso_cv, X, y, grid=grid)
+    want = raised(reference_fit_lasso_cv, X, y, grid=grid)
+    assert isinstance(got, type(want)) and str(got) == str(want)
+    if isinstance(want, ValueError):
+        assert isinstance(got, InvalidArgument)
+
+
+def test_negative_lam_is_invalid_argument():
+    with pytest.raises(InvalidArgument, match="lam must be >= 0"):
+        fit_lasso(np.eye(3), np.ones(3), lam=-0.1)
+
+
+def test_empty_grid_is_invalid_argument():
+    with pytest.raises(InvalidArgument, match="lam grid must be non-empty"):
+        fit_lasso_cv(np.eye(3), np.ones(3), grid=())
