@@ -107,8 +107,8 @@ def _descend(prob: _Problem, lam: float, max_iter: int, tol: float) -> LassoFit:
 def _held_out_errors(X, y, fold, grid, max_iter: int, tol: float) -> list:
     """Held-out sums of squared errors, one per lambda, of fits on all rows but ``fold``.
 
-    Only the standardised training rows outlive the standardisation,
-    and only for this call.
+    The fold's arrays are freed on return, before the next fold's are
+    built, so at most one fold's standardisation is alive at a time.
     """
     mask = np.ones(y.size, dtype=bool)
     mask[fold] = False
