@@ -14,7 +14,13 @@ an existing file is read and the entry for this workload and seed is
 replaced, so one file collects every workload a change was measured on.
 
 Each entry gives both sides' median and quartiles of every end-to-end
-metric and the pairs the change won on each.  The script exits 1 if
+metric, the pairs the change won on each, and a verdict by the claim
+rule: the change may claim a gain on a metric only when it wins at
+least nine tenths of the pairs run (ties count for neither side) and
+its median is better than the parent's by more than the parent's
+interquartile range.  Every run keeps its exit code; a run whose last
+stdout line is not a result object also keeps that line's first 200
+characters.  The script exits 1 if
 any run is not ``"correct": true`` or the two sides' report digests
 differ.  It exits 2, before any run, if the two checkouts resolve to
 paths of unequal length: ``verify``'s peak RSS moves with the length of
@@ -33,6 +39,7 @@ from pathlib import Path
 SECONDS = 28
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+LAST_LINE_CHARS = 200
 
 
 def commit_of(checkout: Path) -> dict:
@@ -46,19 +53,36 @@ def commit_of(checkout: Path) -> dict:
     return {"commit": head.stdout.strip(), "dirty": bool(git("status", "--porcelain").stdout.strip())}
 
 
+def parse_run(exit_code: int, stdout: str) -> tuple:
+    """A run's result object, its detail object and what its run entry keeps.
+
+    The last stdout line must be a result object (a JSON object with a
+    ``correct`` key) and the line before it the detail line.  When they
+    are not, the result reads incorrect and the entry keeps the last
+    line, cut to LAST_LINE_CHARS.
+    """
+    lines = stdout.strip().splitlines()
+    try:
+        result, detail = json.loads(lines[-1]), json.loads(lines[-2])["detail"]
+        if isinstance(result, dict) and "correct" in result:
+            return result, detail, {"exit_code": exit_code}
+    except (IndexError, KeyError, TypeError, ValueError):
+        pass
+    last = lines[-1][:LAST_LINE_CHARS] if lines else ""
+    return {"correct": False}, {}, {"exit_code": exit_code, "last_stdout_line": last}
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> tuple:
-    """One benchmark run in ``checkout``: its result object and its detail object."""
+    """One benchmark run in ``checkout``: see ``parse_run``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1]), json.loads(lines[-2])["detail"]
-    except (IndexError, KeyError, ValueError):
+    result, detail, kept = parse_run(proc.returncode, proc.stdout)
+    if "last_stdout_line" in kept:
         sys.stderr.write(proc.stderr)
-        return {"correct": False}, {}
+    return result, detail, kept
 
 
 def _quartiles(values: list) -> list:
@@ -66,6 +90,27 @@ def _quartiles(values: list) -> list:
         return [values[0], values[0]] if values else [None, None]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
+
+
+def verdict(metric: dict, pairs: int) -> dict:
+    """Whether ``metric`` (lower is better) shows a gain by the claim rule.
+
+    The change must win at least nine tenths of the ``pairs`` run,
+    and the parent's median minus the change's must exceed the distance
+    between the parent's quartiles.
+    """
+    wins_needed = -(-9 * pairs // 10)
+    parent, change = metric["parent"], metric["change"]
+    if parent["median"] is None or change["median"] is None:
+        return {"wins_needed": wins_needed, "median_gap": None, "parent_iqr": None, "gain": False}
+    gap = parent["median"] - change["median"]
+    iqr = parent["quartiles"][1] - parent["quartiles"][0]
+    return {
+        "wins_needed": wins_needed,
+        "median_gap": gap,
+        "parent_iqr": iqr,
+        "gain": metric["wins"]["change"] >= wins_needed and gap > iqr,
+    }
 
 
 def summarize(runs: list) -> dict:
@@ -102,6 +147,7 @@ def summarize(runs: list) -> dict:
                       "values": v} for side, v in sides.items()},
             "wins": wins,
         }
+        metrics[name]["verdict"] = verdict(metrics[name], len(by_pair))
     digests = {side: sorted({r["report_digest"] for r in runs if r["side"] == side}, key=str)
                for side in SIDES}
     all_correct = all(
@@ -138,7 +184,7 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for first, side in enumerate(order):
-            result, detail = run_once(checkouts[side], args.workload, args.seed)
+            result, detail, kept = run_once(checkouts[side], args.workload, args.seed)
             runs.append({
                 "pair": pair,
                 "side": side,
@@ -146,8 +192,9 @@ def main(argv=None) -> int:
                 "result": result,
                 "report_digest": detail.get("report_digest"),
                 "wall_s_samples": detail.get("wall_s_samples"),
+                **kept,
             })
-            print(f"pair {pair} {side}: {json.dumps(result)}", file=sys.stderr)
+            print(f"pair {pair} {side}: {json.dumps(result)} {json.dumps(kept)}", file=sys.stderr)
             machine = machine or detail.get("machine")
 
     summary = summarize(runs)
@@ -163,7 +210,9 @@ def main(argv=None) -> int:
     }
     doc["entries"] = dict(sorted(doc["entries"].items()))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps({k: summary[k] for k in ("pairs", "all_correct", "same_digest", "ok")}))
+    gains = {name: m["verdict"]["gain"] for name, m in summary["metrics"].items()}
+    print(json.dumps({**{k: summary[k] for k in ("pairs", "all_correct", "same_digest", "ok")},
+                      "gain": gains}))
     return 0 if summary["ok"] else 1
 
 

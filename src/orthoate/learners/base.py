@@ -130,7 +130,7 @@ class NuisanceFits:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.floor < 0.5):
-            raise ValueError("floor must lie in [0, 0.5)")
+            raise InvalidArgument("floor must lie in [0, 0.5)")
 
     @property
     def n_treatments(self) -> int:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import NonFinite, ShapeMismatch
+from ..exceptions import InvalidArgument, NonFinite, ShapeMismatch
 from .base import class_count, integer_labels, validate_features
 
 _OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
@@ -479,7 +479,7 @@ def fit_forest_regressor(
     if not np.all(np.isfinite(y)):
         raise NonFinite("y contains non-finite values")
     if n_trees < 1 or min_leaf < 1:
-        raise ValueError("n_trees and min_leaf must be >= 1")
+        raise InvalidArgument("n_trees and min_leaf must be >= 1")
     trees = _grow_forest(X, y, n_trees, seed, bootstrap, max_depth, min_leaf)
     return ForestRegressorFit(trees=trees, p=X.shape[1])
 
@@ -501,7 +501,7 @@ def fit_forest_classifier(
     labels = integer_labels(d)
     k = class_count(labels, n_classes)
     if n_trees < 1 or min_leaf < 1:
-        raise ValueError("n_trees and min_leaf must be >= 1")
+        raise InvalidArgument("n_trees and min_leaf must be >= 1")
     trees = _grow_forest(X, labels.astype(float), n_trees, seed, bootstrap, max_depth,
                          min_leaf, n_classes=k)
     return ForestClassifierFit(trees=trees, p=X.shape[1], n_classes=k)

@@ -165,19 +165,22 @@ def fit_lasso_cv(
 
     Each training fold is standardised once and shared by every lambda;
     the held-out fold is predicted as ``intercept + X @ coef``, as
-    ``LassoFit.predict`` does.
+    ``LassoFit.predict`` does.  ``n_folds`` and every lambda of the grid
+    are checked before anything is fitted, also when a single-lambda
+    grid or fewer than ``2 * n_folds`` rows skip the cross-validation.
     """
     X = validate_features(X)
-    y = np.asarray(y, dtype=float)
     n = X.shape[0]
     grid = tuple(grid)
     if not grid:
         raise InvalidArgument("lam grid must be non-empty")
-    if len(grid) == 1 or n < 2 * n_folds:
-        return fit_lasso(X, y, grid[0], max_iter=max_iter, tol=tol)
+    if not (isinstance(n_folds, (int, np.integer)) and n_folds >= 2):
+        raise InvalidArgument(f"n_folds must be an integer >= 2, got {n_folds!r}")
     X, y = _checked(X, y)
     for lam in grid:
         _check_lam(lam)
+    if len(grid) == 1 or n < 2 * n_folds:
+        return fit_lasso(X, y, grid[0], max_iter=max_iter, tol=tol)
     perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
     folds = np.array_split(perm, n_folds)
     errs = np.zeros(len(grid))

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateMoment, InvalidOrder, NonFinite, ShapeMismatch, SingularSystem
+from .exceptions import (
+    DegenerateMoment,
+    InvalidArgument,
+    InvalidOrder,
+    NonFinite,
+    ShapeMismatch,
+    SingularSystem,
+)
 
 # Guard threshold before inverting m_r; estimated moments below this are
 # treated as degenerate rather than inverted into huge coefficients.
@@ -76,7 +83,7 @@ class Moments:
         if not np.all(np.isfinite(vals)):
             raise NonFinite("moments must be finite")
         if np.any(np.abs(vals) > 1.0 + 1e-9):
-            raise ValueError("residual moments cannot exceed 1 in magnitude")
+            raise InvalidArgument("residual moments cannot exceed 1 in magnitude")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -95,7 +102,7 @@ class Moments:
     def from_bernoulli(cls, pi: float, max_order: int) -> "Moments":
         """Exact moments of nu = 1{D=d} - pi when P(D=d) = pi."""
         if not (0.0 < pi < 1.0):
-            raise ValueError("pi must lie strictly inside (0, 1)")
+            raise InvalidArgument("pi must lie strictly inside (0, 1)")
         q = np.arange(1, max_order + 1)
         vals = pi * (1.0 - pi) ** q + (1.0 - pi) * (-pi) ** q
         return cls(vals)
@@ -113,9 +120,9 @@ class Moments:
         if w.shape != p.shape or w.ndim != 1:
             raise ShapeMismatch("weights and pis must be matching 1-d arrays")
         if np.any(w < 0) or not np.isclose(w.sum(), 1.0):
-            raise ValueError("weights must be a probability vector")
+            raise InvalidArgument("weights must be a probability vector")
         if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("mixture propensities must lie in (0, 1)")
+            raise InvalidArgument("mixture propensities must lie in (0, 1)")
         q = np.arange(1, max_order + 1)[:, None]
         vals = (w * (p * (1.0 - p) ** q + (1.0 - p) * (-p) ** q)).sum(axis=1)
         return cls(vals)

@@ -38,7 +38,7 @@ from .estimators import (
     pairwise_from_theta,
     relative_ate_error,
 )
-from .exceptions import ConfigError, ShapeMismatch
+from .exceptions import ConfigError, InvalidArgument, ShapeMismatch
 from .learners import LearnerSpec, fit_nuisances, softmax
 from .score import Moments, _validate_orders
 from .seeds import seed_int
@@ -91,7 +91,7 @@ def run_estimators(specs, ds, split, fits, seed: int = 0, moments_from: str = "e
     training fold (``moments_from="training"``).
     """
     if moments_from not in ("estimation", "training"):
-        raise ValueError("moments_from must be 'estimation' or 'training'")
+        raise InvalidArgument("moments_from must be 'estimation' or 'training'")
     idx, tr = split.estimation_idx, split.training_idx
     y, d = ds.y[idx], ds.d[idx]
     G = fits.outcome_matrix(ds.Z[idx])
@@ -158,7 +158,7 @@ class TreatmentOutcomeModel:
         if beta.shape[1] > a.shape[1]:
             raise ShapeMismatch("confounding columns cannot exceed covariate columns")
         if np.any(dl <= 0) or np.any(sd <= 0):
-            raise ValueError("d_levels and noise_sd must be positive")
+            raise InvalidArgument("d_levels and noise_sd must be positive")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "outcome_coeffs", a)
         object.__setattr__(self, "d_levels", dl)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,27 @@ def test_negative_lam_is_invalid_argument():
 def test_empty_grid_is_invalid_argument():
     with pytest.raises(InvalidArgument, match="lam grid must be non-empty"):
         fit_lasso_cv(np.eye(3), np.ones(3), grid=())
+
+
+@pytest.mark.parametrize("n_folds", [0, 1, -2, 2.5, "5", None])
+def test_cv_fold_count_must_be_an_integer_of_at_least_two(regression_data, n_folds):
+    X, y, _ = regression_data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="n_folds must be an integer >= 2"):
+            fit_lasso_cv(X[:50], y[:50], n_folds=n_folds)
+
+
+@pytest.mark.parametrize("n_folds", [2, np.int64(3)])
+def test_cv_accepts_integer_fold_counts(regression_data, n_folds):
+    X, y, _ = regression_data
+    got = fit_lasso_cv(X[:50], y[:50], n_folds=n_folds)
+    assert_same_fit(got, reference_fit_lasso_cv(X[:50], y[:50], n_folds=int(n_folds)))
+
+
+@pytest.mark.parametrize("rows", [8, 50])
+def test_cv_checks_every_lambda_on_the_short_path_too(regression_data, rows):
+    # 8 rows are fewer than 2 * n_folds, which skips the cross-validation.
+    X, y, _ = regression_data
+    with pytest.raises(InvalidArgument, match="lam must be >= 0"):
+        fit_lasso_cv(X[:rows], y[:rows], grid=(0.1, -1.0))
