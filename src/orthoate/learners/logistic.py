@@ -22,7 +22,8 @@ from ..exceptions import InvalidArgument, ShapeMismatch
 from .base import Standardizer, class_count, integer_labels, validate_features
 
 # numpy sums fewer than this many numbers in order and longer rows
-# pairwise; the column-wise softmax reproduces only the former.
+# pairwise; the column-wise softmax reproduces only the former, and only
+# for float64 logits, whose shifted copy can take exp in place.
 _IN_ORDER_SUM = 8
 
 

@@ -173,6 +173,13 @@ def test_softmax_equals_the_reference_on_wide_logits(k):
         assert softmax(logits).tobytes() == logistic_reference.softmax(logits).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_softmax_of_other_dtypes_equals_the_reference(dtype):
+    logits = np.array([[1, -2, 3], [40, 40, 7]], dtype=dtype)
+    got, want = softmax(logits), logistic_reference.softmax(logits)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _peak_bytes(fit, *args, **kwargs) -> int:
     tracemalloc.start()
     try:
