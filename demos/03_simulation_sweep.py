@@ -11,6 +11,8 @@ Run from the repository root (takes a few seconds):
     python3 demos/03_simulation_sweep.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from orthoate import EstimatorSpec, LearnerSpec, SimConfig, run_sweep
@@ -58,9 +60,8 @@ print_table(report, "clean propensities, 20 replications per grid point:")
 # renormalization.  Units with small fitted pi can see their inverse
 # weight change by a large factor; the resampling estimator never forms
 # an inverse weight.
-report_noisy = run_sweep(
-    cfg, "samplesize", [4000], SPECS, LEARNERS, propensity_noise_sd=0.5
-)
+noisy_cfg = replace(cfg, propensity_noise_sd=0.5)
+report_noisy = run_sweep(noisy_cfg, "samplesize", [4000], SPECS, LEARNERS)
 print_table(report_noisy, "propensity noise sd 0.5 at the largest sample:")
 
 clean = {r["estimator"]: r["median"] for r in report.aggregate() if r["grid_value"] == 4000}

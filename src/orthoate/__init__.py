@@ -2,7 +2,6 @@
 
 from .dataio import (
     RunConfig,
-    SimSettings,
     VerifySettings,
     load_csv_dataset,
     load_run_config,
@@ -78,72 +77,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "Dataset",
-    "DegenerateMoment",
-    "DerivativeEstimate",
-    "Diagnostics",
-    "EmptyFold",
-    "EmptyResidualSet",
-    "EstimateReport",
-    "EstimatorSpec",
-    "InvalidArgument",
-    "InvalidOrder",
-    "LearnerSpec",
-    "MissingClass",
-    "Moments",
-    "NoisyPropensity",
-    "NonFinite",
-    "NuisanceFits",
-    "OrthoCoefficients",
-    "OrthoError",
-    "OrthogonalityReport",
-    "ParseError",
-    "RunConfig",
-    "SchemaError",
-    "ShapeMismatch",
-    "SimConfig",
-    "SimSettings",
-    "SingularSystem",
-    "SplitPlan",
-    "SweepReport",
-    "TreatmentOutcomeModel",
-    "VerifySettings",
-    "ZeroDenominator",
-    "binomial",
-    "check_orthogonality",
-    "compute_coefficients",
-    "correction_derivative_values",
-    "correction_values",
-    "dml_correction_values",
-    "dml_score_values",
-    "draw_default_params",
-    "epsilon_ate",
-    "estimate_dml",
-    "estimate_dr",
-    "estimate_higher_order",
-    "estimate_moments",
-    "fit_forest_classifier",
-    "fit_forest_regressor",
-    "fit_lasso",
-    "fit_lasso_cv",
-    "fit_logistic",
-    "fit_nuisances",
-    "generate_dataset",
-    "load_csv_dataset",
-    "load_run_config",
-    "make_split",
-    "pairwise_from_theta",
-    "random_realizable_moments",
-    "read_report_csv",
-    "relative_ate_error",
-    "run_estimators",
-    "run_sweep",
-    "save_csv_dataset",
-    "score_values",
-    "single_resample_pass",
-    "solve_coefficients_oracle",
-    "write_report",
-]

@@ -23,19 +23,16 @@ import numpy as np
 
 from .dataio import RunConfig, config_problem, load_csv_dataset, load_run_config
 from .dataio import save_csv_dataset, write_report
-from .estimators import make_split, relative_ate_error
 from .exceptions import ConfigError, OrthoError
 from .gateaux import check_orthogonality
-from .learners import fit_nuisances
 from .score import (
     Moments,
     compute_coefficients,
     random_realizable_moments,
     solve_coefficients_oracle,
 )
-from .seeds import seed_int
-from .simulation import SimConfig, SweepRow, generate_dataset, kept_errors
-from .simulation import run_estimators, run_sweep, target_effects
+from .simulation import SimConfig, SweepRow, evaluate_dataset, generate_dataset, kept_errors
+from .simulation import run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,11 +83,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def _sim_config(cfg: RunConfig) -> SimConfig:
     """The run's simulation section, seeded by the run seed."""
-    sim = cfg.sim
-    return SimConfig(
-        Q=sim.Q, p=sim.p, r_c=sim.r_c, M=sim.M,
-        n_treatments=sim.n_treatments, master_seed=cfg.seed,
-    )
+    return replace(cfg.sim, master_seed=cfg.seed)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -116,37 +109,26 @@ def cmd_estimate(cfg: RunConfig) -> int:
     for di, path in enumerate(cfg.datasets):
         try:
             ds = load_csv_dataset(path, cfg.n_treatments)
-            split = make_split(ds.n, cfg.split, seed=seed_int(cfg.seed, di, 0))
-            truth_matrix = (
-                target_effects(ds, split, cfg.truth_from) if ds.truth is not None else None
-            )
             rows, dataset_errors = [], []
-            for lspec in cfg.learners:
-                tr = split.training_idx
-                fits = fit_nuisances(
-                    ds.Z[tr], ds.y[tr], ds.d[tr], ds.n_treatments, lspec,
-                    seed=seed_int(cfg.seed, di, 1), floor=cfg.propensity_floor,
-                )
-                reports = run_estimators(
-                    cfg.estimators, ds, split, fits, seed_int(cfg.seed, di, 2), cfg.moments_from
-                )
-                for espec, report in zip(cfg.estimators, reports):
-                    row = {"learner": lspec.label, "estimator": espec.label}
-                    for i, v in enumerate(report.theta):
-                        row[f"theta_{i}"] = v
-                    for i in range(ds.n_treatments):
-                        for k in range(ds.n_treatments):
-                            if i != k:
-                                row[f"ate_{i}_{k}"] = report.ate_pairwise[i, k]
-                    err = None
-                    if truth_matrix is not None:
-                        err = relative_ate_error(report.ate_pairwise, truth_matrix)
-                        dataset_errors.append((lspec.label, espec.label, di, err))
-                    row["rel_error"] = err
-                    row["n_floored"] = report.diagnostics.n_floored
-                    row["infinite"] = report.diagnostics.infinite
-                    row["nan"] = report.diagnostics.nan
-                    rows.append(row)
+            # Split, fit and estimator seeds: spawn keys (di, 0), (di, 1), (di, 2).
+            for lspec, espec, report, err in evaluate_dataset(
+                ds, cfg.split, cfg.seed, di, (0, 1, 2), cfg.learners, cfg.estimators,
+                cfg.propensity_floor, moments_from=cfg.moments_from, truth_from=cfg.truth_from,
+            ):
+                row = {"learner": lspec.label, "estimator": espec.label}
+                for i, v in enumerate(report.theta):
+                    row[f"theta_{i}"] = v
+                for i in range(ds.n_treatments):
+                    for k in range(ds.n_treatments):
+                        if i != k:
+                            row[f"ate_{i}_{k}"] = report.ate_pairwise[i, k]
+                if err is not None:
+                    dataset_errors.append((lspec.label, espec.label, di, err))
+                row["rel_error"] = err
+                row["n_floored"] = report.diagnostics.n_floored
+                row["infinite"] = report.diagnostics.infinite
+                row["nan"] = report.diagnostics.nan
+                rows.append(row)
             payload = {
                 "schema_version": 1,
                 "kind": "estimate",
@@ -244,8 +226,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     report = run_sweep(
         _sim_config(cfg), kind, cfg.sweep_grids[kind], cfg.estimators, cfg.learners,
         split_ratios=cfg.split, propensity_floor=cfg.propensity_floor,
-        propensity_noise_sd=cfg.sim.propensity_noise_sd, moments_from=cfg.moments_from,
-        truth_from=cfg.truth_from,
+        moments_from=cfg.moments_from, truth_from=cfg.truth_from,
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

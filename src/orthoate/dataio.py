@@ -33,7 +33,7 @@ from .exceptions import ConfigError, InvalidOrder, OrthoError, ParseError, Schem
 from .gateaux import EPSILON_DOMAIN, epsilon_in_domain
 from .learners import PROPENSITY_MODELS, REGRESSORS, LearnerSpec
 from .score import _validate_orders
-from .simulation import EstimatorSpec
+from .simulation import EstimatorSpec, SimConfig
 
 SCHEMA_VERSION = 1
 
@@ -181,18 +181,6 @@ def save_csv_dataset(ds: Dataset, path) -> None:
 
 
 @dataclass(frozen=True)
-class SimSettings:
-    """Synthetic-data settings shared by the simulate and sweep commands."""
-
-    Q: int = 4000
-    p: int = 2
-    r_c: float = 1.0
-    M: int = 20
-    n_treatments: int = 3
-    propensity_noise_sd: float = 0.0
-
-
-@dataclass(frozen=True)
 class VerifySettings:
     """Settings for the coefficient and orthogonality verification command."""
 
@@ -227,7 +215,7 @@ class RunConfig:
     truth_from: str = "estimation"
     output_dir: str = "out"
     output_format: str = "csv"
-    sim: SimSettings = SimSettings()
+    sim: SimConfig = SimConfig()
     sweep_grids: dict | None = None
     verify: VerifySettings = VerifySettings()
 
@@ -368,7 +356,7 @@ def _section(section: str, raw: dict, where: str, problems: list, build):
 _SECTIONS = {
     "estimators": ("estimators", EstimatorSpec), "learners": ("learners", LearnerSpec),
     "split": ("split", lambda train=0.56, valid=0.14, test=0.30: (train, valid, test)),
-    "output": ("output", dict), "simulation": ("sim", SimSettings),
+    "output": ("output", dict), "simulation": ("sim", SimConfig),
     "sweep": ("sweep_grids", dict), "verify": ("verify", VerifySettings),
 }
 
@@ -404,9 +392,7 @@ def load_run_config(path) -> RunConfig:
     # Rules that tie several keys together.
     if out.get("split") and abs(sum(out["split"]) - 1.0) > 1e-9:
         problems.append(f"split: ratios must sum to 1, got {out['split']}")
-    sim, ver = out.get("sim"), out.get("verify")
-    if sim and round(sim.p * sim.r_c) < 1:
-        problems.append("simulation: p * r_c must round to at least one confounder")
+    ver = out.get("verify")
     if ver and not epsilon_in_domain(ver.epsilon, ver.order):
         problems.append(
             f"verify.epsilon: must be {EPSILON_DOMAIN} at verify.order {ver.order}, "

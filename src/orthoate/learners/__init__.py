@@ -97,25 +97,3 @@ def fit_nuisances(
             seed=prop_seed,
         )
     return NuisanceFits(outcome=outcome, propensity=propensity, floor=floor)
-
-
-__all__ = [
-    "ForestClassifierFit",
-    "ForestRegressorFit",
-    "LassoFit",
-    "LearnerSpec",
-    "LogisticFit",
-    "NuisanceFits",
-    "PROPENSITY_MODELS",
-    "REGRESSORS",
-    "Standardizer",
-    "fit_forest_classifier",
-    "fit_forest_regressor",
-    "fit_lasso",
-    "fit_lasso_cv",
-    "fit_logistic",
-    "fit_nuisances",
-    "kkt_residual",
-    "softmax",
-    "validate_features",
-]

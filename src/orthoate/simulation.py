@@ -22,9 +22,11 @@ prefixes of larger ones.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -261,9 +263,13 @@ def default_noise_sd(n_treatments: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One benchmark setting: sample size, dimensions, coefficients, seed."""
+    """One benchmark setting: sample size, dimensions, coefficients, seed.
 
-    Q: int
+    ``propensity_noise_sd`` > 0 corrupts every fitted propensity of a
+    sweep with log-space noise of that SD (:class:`NoisyPropensity`).
+    """
+
+    Q: int = 4000
     p: int = 2
     r_c: float = 1.0
     n_treatments: int = 3
@@ -271,6 +277,7 @@ class SimConfig:
     master_seed: int = 0
     beta: np.ndarray | None = None
     outcome_coeffs: np.ndarray | None = None
+    propensity_noise_sd: float = 0.0
 
     def __post_init__(self) -> None:
         if self.Q < 1 or self.M < 1 or self.p < 1 or self.n_treatments < 2:
@@ -279,6 +286,10 @@ class SimConfig:
             raise ConfigError("r_c must lie in (0, 1]")
         if self.n_confounding < 1:
             raise ConfigError("p * r_c must round to at least one confounder")
+        if not (math.isfinite(self.propensity_noise_sd) and self.propensity_noise_sd >= 0.0):
+            raise ConfigError(
+                f"propensity_noise_sd must be a finite number >= 0, got {self.propensity_noise_sd}"
+            )
 
     @property
     def n_confounding(self) -> int:
@@ -332,15 +343,6 @@ def generate_dataset(cfg: SimConfig, replication: int = 0) -> Dataset:
     return Dataset(y=y, d=d, Z=Z, truth=means, n_treatments=cfg.n_treatments)
 
 
-def target_effects(ds: Dataset, split, truth_from: str = "estimation") -> np.ndarray:
-    """True pairwise effects: ``ds.truth`` averaged over the rows ``truth_from`` names.
-
-    "estimation" takes the split's estimation fold, "full" every row.
-    """
-    rows = split.estimation_idx if truth_from == "estimation" else np.arange(ds.n)
-    return pairwise_from_theta(ds.truth[rows].mean(axis=0))
-
-
 class NoisyPropensity:
     """Wraps a propensity fit, corrupting predictions with log-space noise.
 
@@ -361,6 +363,48 @@ class NoisyPropensity:
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(_TAG_NOISE_WRAP,)))
         logits = np.log(np.clip(P, 1e-300, None)) + rng.normal(0.0, self.sd, P.shape)
         return softmax(logits)
+
+
+def evaluate_dataset(
+    ds: Dataset, split_ratios, seed: int, unit: int, keys, learner_specs, estimator_specs,
+    floor: float = 0.0, noise_sd: float = 0.0, moments_from: str = "estimation",
+    truth_from: str = "estimation",
+):
+    """Split ``ds``, fit each learner on the training fold, run every estimator.
+
+    Yields (learner spec, estimator spec, report, rel_error) per combo in
+    learner-major order.  ``rel_error`` scores the report's pairwise
+    effects against ``ds.truth`` averaged over the estimation fold
+    (``truth_from="estimation"``) or every row ("full"); it is None when
+    the dataset carries no truth.  The split, fit and estimator seeds
+    are ``seed_int(seed, unit, key)`` for the three ``keys``; with
+    ``noise_sd`` > 0 every propensity fit is wrapped in
+    :class:`NoisyPropensity`.
+    """
+    if truth_from not in ("estimation", "full"):
+        raise InvalidArgument("truth_from must be 'estimation' or 'full'")
+    split_key, fit_key, estimator_key = keys
+    split = make_split(ds.n, split_ratios, seed=seed_int(seed, unit, split_key))
+    target = None
+    if ds.truth is not None:
+        rows = split.estimation_idx if truth_from == "estimation" else np.arange(ds.n)
+        target = pairwise_from_theta(ds.truth[rows].mean(axis=0))
+    tr = split.training_idx
+    for lspec in learner_specs:
+        fits = fit_nuisances(
+            ds.Z[tr], ds.y[tr], ds.d[tr], ds.n_treatments, lspec,
+            seed=seed_int(seed, unit, fit_key), floor=floor,
+        )
+        if noise_sd > 0.0:
+            fits.propensity = NoisyPropensity(
+                fits.propensity, noise_sd, seed_int(seed, unit, _TAG_NOISE_WRAP)
+            )
+        reports = run_estimators(
+            estimator_specs, ds, split, fits, seed_int(seed, unit, estimator_key), moments_from
+        )
+        for espec, report in zip(estimator_specs, reports):
+            err = None if target is None else relative_ate_error(report.ate_pairwise, target)
+            yield lspec, espec, report, err
 
 
 @dataclass(frozen=True)
@@ -430,39 +474,21 @@ def _grid_config(cfg: SimConfig, kind: str, value, beta_full, coeffs_full) -> Si
     )
 
 
-def _sweep_task(args):
-    (cfg_point, grid_value, rep, learner_specs, estimator_specs, ratios, floor,
-     noise_sd, moments_from, truth_from, master_seed) = args
+# Spawn keys of a replication's split, fit and estimator seeds.
+_SWEEP_KEYS = (_TAG_SPLIT, _TAG_PARAMS + 1, _TAG_ESTIMATOR)
+
+
+def _sweep_task(learner_specs, estimator_specs, split_ratios, floor, moments_from, truth_from,
+                cfg_point, grid_value, rep):
     ds = generate_dataset(cfg_point, rep)
-    split = make_split(ds.n, ratios, seed=seed_int(master_seed, rep, _TAG_SPLIT))
-    truth_matrix = target_effects(ds, split, truth_from)
-    tr = split.training_idx
-    rows = []
-    for lspec in learner_specs:
-        fits = fit_nuisances(
-            ds.Z[tr], ds.y[tr], ds.d[tr], ds.n_treatments, lspec,
-            seed=seed_int(master_seed, rep, _TAG_PARAMS + 1), floor=floor,
+    return [
+        SweepRow(grid_value, lspec.label, espec.label, rep, err,
+                 report.diagnostics.infinite, report.diagnostics.nan)
+        for lspec, espec, report, err in evaluate_dataset(
+            ds, split_ratios, cfg_point.master_seed, rep, _SWEEP_KEYS, learner_specs,
+            estimator_specs, floor, cfg_point.propensity_noise_sd, moments_from, truth_from,
         )
-        if noise_sd > 0.0:
-            fits.propensity = NoisyPropensity(
-                fits.propensity, noise_sd, seed_int(master_seed, rep, _TAG_NOISE_WRAP)
-            )
-        reports = run_estimators(
-            estimator_specs, ds, split, fits, seed_int(master_seed, rep, _TAG_ESTIMATOR), moments_from
-        )
-        for espec, report in zip(estimator_specs, reports):
-            rows.append(
-                SweepRow(
-                    grid_value=grid_value,
-                    learner=lspec.label,
-                    estimator=espec.label,
-                    replication=rep,
-                    rel_error=relative_ate_error(report.ate_pairwise, truth_matrix),
-                    infinite=report.diagnostics.infinite,
-                    nan=report.diagnostics.nan,
-                )
-            )
-    return rows
+    ]
 
 
 def _env_workers() -> int:
@@ -485,7 +511,6 @@ def run_sweep(
     learner_specs=(LearnerSpec(),),
     split_ratios=(0.56, 0.14, 0.30),
     propensity_floor: float = 0.0,
-    propensity_noise_sd: float = 0.0,
     moments_from: str = "estimation",
     truth_from: str = "estimation",
     workers: int | None = None,
@@ -524,33 +549,22 @@ def run_sweep(
         beta_full, coeffs_full = draw_default_params(
             p_max, max(conf_max, 1), cfg.n_treatments, cfg.master_seed
         )
-    tasks = []
+    task = partial(
+        _sweep_task, tuple(learner_specs), tuple(estimator_specs), tuple(split_ratios),
+        propensity_floor, moments_from, truth_from,
+    )
+    points = []
     for value in values:
-        for rep in range(cfg.M):
-            cfg_point = _grid_config(cfg, kind, value, beta_full, coeffs_full)
-            tasks.append(
-                (
-                    cfg_point,
-                    value,
-                    rep,
-                    tuple(learner_specs),
-                    tuple(estimator_specs),
-                    tuple(split_ratios),
-                    propensity_floor,
-                    propensity_noise_sd,
-                    moments_from,
-                    truth_from,
-                    cfg.master_seed,
-                )
-            )
+        cfg_point = _grid_config(cfg, kind, value, beta_full, coeffs_full)
+        points.extend((cfg_point, value, rep) for rep in range(cfg.M))
     if workers is None:
         workers = _env_workers()
     report = SweepReport()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(_sweep_task, tasks):
+            for rows in pool.map(task, *zip(*points)):
                 report.rows.extend(rows)
     else:
-        for task in tasks:
-            report.rows.extend(_sweep_task(task))
+        for point in points:
+            report.rows.extend(task(*point))
     return report

@@ -231,13 +231,12 @@ def test_ac7_robustness_to_propensity_noise(acceptance_log):
     beta = 0.8 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     coeffs = np.array([[0.15, 0.20], [0.18, 0.14], [0.25, 0.18]])
     cfg = SimConfig(Q=Q, p=2, r_c=1.0, n_treatments=3, M=20, master_seed=0,
-                    beta=beta, outcome_coeffs=coeffs)
+                    beta=beta, outcome_coeffs=coeffs, propensity_noise_sd=0.5)
     report = run_sweep(
         cfg, "samplesize", [Q],
         estimator_specs=[EstimatorSpec("dml"),
                          EstimatorSpec("higher_order", r=2, k=2, R=100)],
         learner_specs=[LearnerSpec(regressor="lasso", propensity="logistic")],
-        propensity_noise_sd=0.5,
     )
     e22 = report.rel_errors(Q, "lasso+logistic", "ho(2,2)")
     edml = report.rel_errors(Q, "lasso+logistic", "dml")

@@ -21,7 +21,7 @@ from orthoate import (
     ParseError,
     RunConfig,
     SchemaError,
-    SimSettings,
+    SimConfig,
     VerifySettings,
     load_csv_dataset,
     load_run_config,
@@ -322,10 +322,12 @@ class TestRunConfig:
 
     def test_every_field_has_one_rule(self):
         for section, cls in (
-            ("estimators", EstimatorSpec), ("learners", LearnerSpec),
-            ("simulation", SimSettings), ("verify", VerifySettings),
+            ("estimators", EstimatorSpec), ("learners", LearnerSpec), ("verify", VerifySettings),
         ):
             assert set(CONFIG_RULES[section]) == {f.name for f in fields(cls)}
+        # The seed comes from the top-level "seed"; coefficients are drawn, never configured.
+        unset = {"master_seed", "beta", "outcome_coeffs"}
+        assert set(CONFIG_RULES["simulation"]) == {f.name for f in fields(SimConfig)} - unset
         assert set(CONFIG_RULES["sweep"]) == set(SWEEP_KINDS)
 
     @pytest.mark.parametrize("config, value, read", [
@@ -457,6 +459,23 @@ def test_mutated_readme_config_loads_or_raises_config_error(tmp_path_factory, da
         _assert_well_typed(spec)
 
 
+REPORT_CELLS = st.one_of(
+    st.floats(allow_subnormal=True), st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
+    st.integers(-(2**64), 2**64), st.booleans(), st.none(),
+)
+
+
+def _same_cell(got, want) -> bool:
+    """Equal value and type; a float also keeps its sign bit, and nan equals nan."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return (math.isnan(got) and math.isnan(want)) or (
+            got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        )
+    return got == want
+
+
 class TestReports:
     @pytest.fixture
     def payload(self):
@@ -515,6 +534,25 @@ class TestReports:
         cpath = tmp_path / "n.csv"
         write_report(payload, cpath, "csv")
         assert math.isnan(read_report_csv(cpath)["rows"][0]["v"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.fixed_dictionaries({"a": REPORT_CELLS, "b": REPORT_CELLS}), max_size=4))
+    def test_round_trip_of_every_cell_kind(self, tmp_path_factory, rows):
+        payload = {"schema_version": 1, "kind": "x", "columns": ["a", "b"], "rows": rows}
+        base = tmp_path_factory.getbasetemp()
+        write_report(payload, base / "cells.csv", "csv")
+        write_report(payload, base / "cells.json", "json")
+        back = read_report_csv(base / "cells.csv")["rows"]
+        stored = json.loads((base / "cells.json").read_text())["rows"]
+        assert len(back) == len(stored) == len(rows)
+        for row, got, kept in zip(rows, back, stored):
+            for c in ("a", "b"):
+                assert _same_cell(got[c], row[c]), (row[c], got[c])
+                v = row[c]
+                if isinstance(v, float) and not math.isfinite(v):
+                    assert kept[c] == ("nan" if math.isnan(v) else "inf" if v > 0 else "-inf")
+                else:
+                    assert _same_cell(kept[c], v), (v, kept[c])
 
     def test_deterministic_bytes(self, tmp_path, payload):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from orthoate import (
+    EstimatorSpec,
     InvalidArgument,
     Moments,
     NuisanceFits,
+    SimConfig,
     SplitPlan,
     TreatmentOutcomeModel,
     estimate_higher_order,
@@ -18,6 +20,7 @@ from orthoate import (
     fit_logistic,
     make_split,
     run_estimators,
+    run_sweep,
 )
 
 
@@ -98,3 +101,9 @@ def test_negative_logistic_penalty():
 
 def test_invalid_argument_is_a_value_error():
     assert issubclass(InvalidArgument, ValueError)
+
+
+def test_unknown_truth_source():
+    cfg = SimConfig(Q=60, M=1)
+    with pytest.raises(InvalidArgument, match="truth_from must be 'estimation' or 'full'"):
+        run_sweep(cfg, "samplesize", (60,), (EstimatorSpec("dr"),), truth_from="bogus")

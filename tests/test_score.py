@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoate import (
     DegenerateMoment,
@@ -14,6 +16,7 @@ from orthoate import (
     correction_derivative_values,
     correction_values,
     dml_score_values,
+    random_realizable_moments,
     score_values,
     solve_coefficients_oracle,
 )
@@ -84,6 +87,18 @@ class TestCoefficients:
                 got = coeff_vector(compute_coefficients(r, k, mom))
                 want = coeff_vector(solve_coefficients_oracle(r, k, mom))
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(2, 16), data=st.data())
+    def test_recursion_matches_oracle_on_realizable_moments(self, seed, r, data):
+        k = data.draw(st.integers(2, r), label="k")
+        mom = random_realizable_moments(np.random.default_rng(seed), r)
+        try:
+            want = coeff_vector(solve_coefficients_oracle(r, k, mom))
+        except SingularSystem:  # the dense system is singular only at some r >= 15
+            return
+        got = coeff_vector(compute_coefficients(r, k, mom))
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-9
 
     def test_oracle_5_4_bernoulli(self):
         mom = Moments.from_bernoulli(0.3, 5)

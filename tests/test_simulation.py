@@ -3,6 +3,7 @@ import pytest
 
 from orthoate import (
     ConfigError,
+    Dataset,
     EstimatorSpec,
     InvalidArgument,
     LearnerSpec,
@@ -17,7 +18,7 @@ from orthoate import (
     run_sweep,
 )
 from orthoate import learners
-from orthoate.simulation import SweepReport, SweepRow
+from orthoate.simulation import SweepReport, SweepRow, evaluate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,22 @@ class TestFitNuisances:
             fit_nuisances(X, y, d, 3, LearnerSpec(), seed=0)
 
 
+def test_evaluate_dataset_scores_only_datasets_with_truth():
+    ds = generate_dataset(SimConfig(Q=300, M=1, master_seed=4))
+    bare = Dataset(y=ds.y, d=ds.d, Z=ds.Z, truth=None, n_treatments=3)
+    lspecs = (LearnerSpec(), LearnerSpec(propensity="forest", n_trees=5))
+    especs = (EstimatorSpec("dr"), EstimatorSpec("dml"))
+    scored, unscored = (
+        list(evaluate_dataset(data, (0.56, 0.14, 0.30), 4, 0, (0, 1, 2), lspecs, especs))
+        for data in (ds, bare)
+    )
+    assert [(ls, es) for ls, es, _, _ in scored] == [(ls, es) for ls in lspecs for es in especs]
+    assert all(np.isfinite(err) for *_, err in scored)
+    assert [err for *_, err in unscored] == [None] * 4
+    for (*_, a, _), (*_, b, _) in zip(scored, unscored):
+        np.testing.assert_array_equal(a.ate_pairwise, b.ate_pairwise)
+
+
 class TestNoisyPropensity:
     class _Base:
         def predict_proba(self, X):
@@ -246,6 +263,12 @@ class TestSweep:
         a = run_sweep(cfg, "samplesize", (300,), specs)
         b = run_sweep(cfg, "samplesize", (300,), specs)
         assert [r.rel_error for r in a.rows] == [r.rel_error for r in b.rows]
+
+    def test_propensity_noise_sd_outside_its_domain(self):
+        # Negative and nan once ran without noise; inf gave nan errors reported as success.
+        for sd in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="propensity_noise_sd must be a finite number >= 0"):
+                SimConfig(Q=300, M=1, propensity_noise_sd=sd)
 
     def test_unknown_kind_rejected(self):
         cfg = SimConfig(Q=300, p=2, M=1)
