@@ -56,7 +56,6 @@ from .score import (
     OrthoCoefficients,
     binomial,
     compute_coefficients,
-    correction_derivative_values,
     correction_values,
     dml_correction_values,
     dml_score_values,

@@ -24,7 +24,7 @@ import numpy as np
 from .dataio import RunConfig, config_problem, load_csv_dataset, load_run_config
 from .dataio import save_csv_dataset, write_report
 from .exceptions import ConfigError, OrthoError
-from .gateaux import check_orthogonality
+from .gateaux import check_on_draw, draw_at_truth
 from .score import (
     Moments,
     compute_coefficients,
@@ -281,23 +281,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(f"  (r={r}, k={k}): max rel diff {worst:.3e} {'PASS' if ok else 'FAIL'}")
 
     print("orthogonality: Gateaux derivatives at the true nuisances")
+    draw = draw_at_truth(model, ver.n_draws, cfg.seed, 0, ver.order, ver.epsilon)
     scores = [(r, k) for r, k in ver.rk_pairs] + ([None] if ver.include_dml else [])
     for entry in scores:
         if entry is None:
-            rep = check_orthogonality(
-                None, None, model, order=ver.order, epsilon=ver.epsilon,
-                n_draws=ver.n_draws, seed=cfg.seed,
-            )
-            gate = ver.dml_max_order
+            rep, gate = check_on_draw(None, None, draw), ver.dml_max_order
         else:
             r, k = entry
             moments = model.residual_moments(0, r)
             coeffs = compute_coefficients(r, k, moments)
-            rep = check_orthogonality(
-                coeffs, moments, model, order=ver.order, epsilon=ver.epsilon,
-                n_draws=ver.n_draws, seed=cfg.seed,
-            )
-            gate = min(ver.order, k)
+            rep, gate = check_on_draw(coeffs, moments, draw), min(ver.order, k)
         for line in rep.summary_lines():
             print(line)
         # Gate on the constant direction pair up to each score's declared

@@ -15,9 +15,10 @@ coordinate-wise sigmoids).  Propensity directions are rescaled per
 observation so every stencil point keeps the perturbed propensity
 inside (0.01, 0.99).
 
-Cost: each direction evaluates the correction factor 2*order+1 times,
-once per propensity offset, and forms stencil values on demand, so
-memory is linear in ``n_draws`` whatever the size of the stencil grid.
+Cost: one draw per call, which ``verify`` shares across every score it
+checks.  Each direction evaluates the correction factor 2*order+1
+times, once per propensity offset, and forms stencil values on demand,
+so memory is linear in ``n_draws`` whatever the size of the stencil grid.
 
 The model argument supplies the data law and true nuisances; any object
 with ``n_treatments``, ``sample_potential(n, rng)``, ``propensities(Z)``,
@@ -123,6 +124,92 @@ def _clamp_propensity_direction(a0: np.ndarray, h_a: np.ndarray, reach: float) -
     return np.sign(h_a) * np.minimum(np.abs(h_a), cap)
 
 
+def _check_arguments(model, order, epsilon, n_draws, treatment, directions) -> None:
+    if order < 1:
+        raise InvalidOrder("order must be >= 1")
+    if not (isinstance(n_draws, (int, np.integer)) and n_draws >= 2):
+        raise InvalidArgument(f"n_draws must be an integer >= 2, got {n_draws!r}")
+    if not epsilon_in_domain(epsilon, order):
+        raise InvalidArgument(f"epsilon must be {EPSILON_DOMAIN}, got {epsilon!r} at order {order}")
+    n_arms = model.n_treatments
+    if not (isinstance(treatment, (int, np.integer)) and 0 <= treatment < n_arms):
+        raise InvalidArgument(f"treatment must be an integer in [0, {n_arms}), got {treatment!r}")
+    unknown = [name for name in directions if name not in DIRECTION_NAMES]
+    if unknown:
+        raise InvalidArgument(f"unknown direction pair(s) {unknown} (choices: {DIRECTION_NAMES})")
+
+
+def _score(coeffs: OrthoCoefficients | None, moments: Moments | None):
+    """The score's label and its correction factor as a function of (t, a)."""
+    if coeffs is None:
+        return "dml", dml_correction_values
+    if moments is None:
+        raise InvalidArgument("moments are required alongside coefficients")
+    return f"ho({coeffs.r},{coeffs.k})", partial(correction_values, coeffs=coeffs, moments=moments)
+
+
+@dataclass(frozen=True)
+class TruthDraw:
+    """What the stencil reads of one Monte-Carlo draw at the true nuisances."""
+
+    treatment: int
+    order: int
+    epsilon: float
+    seed: int
+    t_ind: np.ndarray
+    a0: np.ndarray
+    g0: np.ndarray
+    y: np.ndarray
+    theta: float
+    directions: tuple  # (name, h_g, h_a) per pair, h_a clamped to reach order * epsilon
+
+
+def draw_at_truth(
+    model, n_draws, seed, treatment, order, epsilon, directions=DIRECTION_NAMES
+) -> TruthDraw:
+    """Draw once, keeping only what the stencil reads; bad arguments raise before the draw."""
+    _check_arguments(model, order, epsilon, n_draws, treatment, directions)
+    Z, d, y_pot = model.sample_potential(n_draws, np.random.default_rng(np.random.SeedSequence(seed)))
+    t_ind, y = (d == treatment).astype(float), y_pot[:, treatment].copy()
+    del d, y_pot
+    a0 = model.propensities(Z)[:, treatment].copy()
+    pairs = []
+    for name in directions:
+        h_g, h_a = _direction_pair(name, Z)
+        pairs.append((name, h_g, _clamp_propensity_direction(a0, h_a, order * epsilon)))
+    g0, theta = model.outcome_mean(treatment, Z), model.population_theta(treatment)
+    return TruthDraw(treatment, order, epsilon, seed, t_ind, a0, g0, y, theta, tuple(pairs))
+
+
+def check_on_draw(coeffs: OrthoCoefficients | None, moments: Moments | None, draw: TruthDraw):
+    """:func:`check_orthogonality` with the arguments ``draw`` was made with, on ``draw``."""
+    label, correction = _score(coeffs, moments)
+    order, epsilon, n_draws = draw.order, draw.epsilon, draw.t_ind.size
+    t_ind, a0, g0, y, theta = draw.t_ind, draw.a0, draw.g0, draw.y, draw.theta
+    alphas = [(a1, total - a1) for total in range(1, order + 1) for a1 in range(total + 1)]
+    entries = []
+    for name, h_g, h_a in draw.directions:
+        A = {ot: correction(t_ind, a0 + ot * epsilon * h_a) for ot in range(-order, order + 1)}
+        for a1, a2 in alphas:
+            if a1 >= 2:
+                entries.append(DerivativeEstimate((a1, a2), name, 0.0, 0.0, False, exact=True))
+                continue
+            comb = np.zeros(n_draws)
+            for j in range(a1 + 1):
+                wj = (-1.0) ** j * binomial(a1, j)
+                g_pert = g0 + (a1 - 2 * j) * epsilon * h_g
+                for l in range(a2 + 1):
+                    w = wj * (-1.0) ** l * binomial(a2, l)
+                    comb += w * (theta - g_pert - (y - g_pert) * A[a2 - 2 * l])
+            comb /= (2.0 * epsilon) ** (a1 + a2)
+            est = float(comb.mean())
+            se = float(comb.std(ddof=1) / np.sqrt(n_draws))
+            entries.append(DerivativeEstimate((a1, a2), name, est, se, abs(est) > 3.0 * se))
+    return OrthogonalityReport(
+        label, draw.treatment, order, epsilon, n_draws, draw.seed, tuple(entries)
+    )
+
+
 def check_orthogonality(
     coeffs: OrthoCoefficients | None,
     moments: Moments | None,
@@ -148,67 +235,13 @@ def check_orthogonality(
     a1 >= 2 are exactly zero because every score here is affine in the
     outcome regression; they are reported as exact without a stencil.
 
-    Each direction costs 2*order+1 correction evaluations; stencil
-    values are formed on demand (only outcome offsets -1..1 are read),
-    so memory is linear in ``n_draws``.  Bad arguments raise
+    Cost: one draw per call (:func:`draw_at_truth`), which ``verify``
+    shares across every score (:func:`check_on_draw`).  Each direction
+    costs 2*order+1 correction evaluations; stencil values are formed
+    on demand, so memory is linear in ``n_draws``.  Bad arguments raise
     :class:`InvalidArgument` before the draw.
     """
-    if order < 1:
-        raise InvalidOrder("order must be >= 1")
-    if not (isinstance(n_draws, (int, np.integer)) and n_draws >= 2):
-        raise InvalidArgument(f"n_draws must be an integer >= 2, got {n_draws!r}")
-    if not epsilon_in_domain(epsilon, order):
-        raise InvalidArgument(f"epsilon must be {EPSILON_DOMAIN}, got {epsilon!r} at order {order}")
-    n_arms = model.n_treatments
-    if not (isinstance(treatment, (int, np.integer)) and 0 <= treatment < n_arms):
-        raise InvalidArgument(f"treatment must be an integer in [0, {n_arms}), got {treatment!r}")
-    unknown = [name for name in directions if name not in DIRECTION_NAMES]
-    if unknown:
-        raise InvalidArgument(f"unknown direction pair(s) {unknown} (choices: {DIRECTION_NAMES})")
-    if coeffs is None:
-        label, correction = "dml", dml_correction_values
-    elif moments is None:
-        raise InvalidArgument("moments are required alongside coefficients")
-    else:
-        label = f"ho({coeffs.r},{coeffs.k})"
-        correction = partial(correction_values, coeffs=coeffs, moments=moments)
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    Z, d, y_pot = model.sample_potential(n_draws, rng)
-    t_ind = (d == treatment).astype(float)
-    a0 = model.propensities(Z)[:, treatment]
-    g0 = model.outcome_mean(treatment, Z)
-    y = y_pot[:, treatment]
-    theta = model.population_theta(treatment)
-
-    alphas = [(a1, total - a1) for total in range(1, order + 1) for a1 in range(total + 1)]
-
-    entries = []
-    for name in directions:
-        h_g, h_a = _direction_pair(name, Z)
-        h_a = _clamp_propensity_direction(a0, h_a, order * epsilon)
-        A = {ot: correction(t_ind, a0 + ot * epsilon * h_a) for ot in range(-order, order + 1)}
-        for a1, a2 in alphas:
-            if a1 >= 2:
-                entries.append(DerivativeEstimate((a1, a2), name, 0.0, 0.0, False, exact=True))
-                continue
-            comb = np.zeros(n_draws)
-            for j in range(a1 + 1):
-                wj = (-1.0) ** j * binomial(a1, j)
-                g_pert = g0 + (a1 - 2 * j) * epsilon * h_g
-                for l in range(a2 + 1):
-                    w = wj * (-1.0) ** l * binomial(a2, l)
-                    comb += w * (theta - g_pert - (y - g_pert) * A[a2 - 2 * l])
-            comb /= (2.0 * epsilon) ** (a1 + a2)
-            est = float(comb.mean())
-            se = float(comb.std(ddof=1) / np.sqrt(n_draws))
-            entries.append(DerivativeEstimate((a1, a2), name, est, se, abs(est) > 3.0 * se))
-    return OrthogonalityReport(
-        score_label=label,
-        treatment=treatment,
-        order=order,
-        epsilon=epsilon,
-        n_draws=n_draws,
-        seed=seed,
-        entries=tuple(entries),
-    )
+    _check_arguments(model, order, epsilon, n_draws, treatment, directions)
+    _score(coeffs, moments)  # refuses coefficients without moments before the draw
+    draw = draw_at_truth(model, n_draws, seed, treatment, order, epsilon, directions)
+    return check_on_draw(coeffs, moments, draw)

@@ -86,8 +86,10 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        with np.errstate(over="ignore"):
+            mean, scale = X.mean(axis=0), X.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
+            raise NonFinite("feature mean or variance overflows; rescale the covariates")
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean=mean, scale=scale)
 

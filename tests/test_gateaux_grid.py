@@ -9,7 +9,13 @@ import pytest
 from gateaux_reference import reference_entries
 from orthoate import SimConfig, compute_coefficients, gateaux
 from orthoate.exceptions import InvalidArgument, InvalidOrder, OrthoError
-from orthoate.gateaux import DIRECTION_NAMES, check_orthogonality, epsilon_in_domain
+from orthoate.gateaux import (
+    DIRECTION_NAMES,
+    check_on_draw,
+    check_orthogonality,
+    draw_at_truth,
+    epsilon_in_domain,
+)
 
 SCORES = [(2, 2), (4, 2), (4, 3), (6, 4), None]
 N_DRAWS = 3000
@@ -40,6 +46,41 @@ def test_estimates_match_full_grid_oracle_bit_for_bit(model, rk, treatment):
         rep = check_orthogonality(coeffs, moments, model, **kwargs)
         want = reference_entries(coeffs, moments, model, **kwargs)
         assert [_key(e) for e in rep.entries] == [_key(e) for e in want], f"order {order}"
+
+
+@pytest.mark.parametrize("treatment", [0, 1])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_every_score_on_one_shared_draw_matches_its_own_call_and_the_oracle(model, order, treatment):
+    # 3,001 draws: not a multiple of any SIMD width.
+    kwargs = dict(order=order, epsilon=0.05, n_draws=3001, seed=order, treatment=treatment)
+    draw = draw_at_truth(model, 3001, order, treatment, order, 0.05)
+    for rk in [(2, 2), (4, 2), (4, 3), None]:
+        coeffs, moments = _score(model, rk, treatment)
+        shared = check_on_draw(coeffs, moments, draw)
+        alone = check_orthogonality(coeffs, moments, model, **kwargs)
+        want = reference_entries(coeffs, moments, model, **kwargs)
+        assert [_key(e) for e in shared.entries] == [_key(e) for e in alone.entries], rk
+        assert [_key(e) for e in shared.entries] == [_key(e) for e in want], rk
+        assert shared == alone
+
+
+def test_the_draw_keeps_no_view_of_the_sample(model):
+    # A column view would keep the whole propensity or outcome matrix alive.
+    draw = draw_at_truth(model, 500, 0, 1, 2, 0.05)
+    arrays = [draw.t_ind, draw.a0, draw.g0, draw.y] + [h for _, *pair in draw.directions for h in pair]
+    assert all(a.base is None and a.shape == (500,) and a.flags.c_contiguous for a in arrays)
+    assert [name for name, *_ in draw.directions] == list(DIRECTION_NAMES)
+
+
+def test_draw_refuses_bad_arguments_before_drawing(model, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("reached the Monte-Carlo draw")
+
+    monkeypatch.setattr(type(model), "sample_potential", no_draw)
+    with pytest.raises(InvalidArgument, match="treatment"):
+        draw_at_truth(model, 100, 0, 3, 2, 0.05)
+    with pytest.raises(InvalidOrder):
+        draw_at_truth(model, 100, 0, 0, 0, 0.05)
 
 
 @pytest.mark.parametrize("rk", [(2, 2), None], ids=["ho22", "dml"])

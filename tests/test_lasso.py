@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoate import InvalidArgument, NonFinite, fit_lasso, fit_lasso_cv
+from orthoate.learners import Standardizer
 from orthoate.learners.lasso import kkt_residual
 
 from lasso_reference import reference_fit_lasso_cv
@@ -94,6 +95,18 @@ def test_cv_overflow_raises_nonfinite():
     y = 1e200 * (1 + rng.normal(size=200))
     with pytest.raises(NonFinite, match="overflow"):
         fit_lasso_cv(X, y)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_covariates_whose_variance_overflows_raise_nonfinite(column):
+    # At the parent the square overflowed with a RuntimeWarning, the scale
+    # became inf and the column standardised to all zeros.
+    X = np.random.default_rng(0).normal(size=(50, 2))
+    X[:, column] *= 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="overflows"):
+            Standardizer.fit(X)
 
 
 def assert_same_fit(got, want):

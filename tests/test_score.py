@@ -13,7 +13,6 @@ from orthoate import (
     SingularSystem,
     binomial,
     compute_coefficients,
-    correction_derivative_values,
     correction_values,
     dml_score_values,
     random_realizable_moments,
@@ -22,6 +21,7 @@ from orthoate import (
 )
 
 from conftest import moment_sequences
+from score_reference import correction_derivative_values
 
 
 def all_rk_pairs(r_max: int = 6):
