@@ -14,7 +14,6 @@ from .estimators import (
     Diagnostics,
     EstimateReport,
     SplitPlan,
-    epsilon_ate,
     estimate_dml,
     estimate_dr,
     estimate_higher_order,

@@ -31,7 +31,8 @@ from .score import (
     random_realizable_moments,
     solve_coefficients_oracle,
 )
-from .simulation import SimConfig, SweepRow, evaluate_dataset, generate_dataset, kept_errors
+from .seeds import stream
+from .simulation import SimConfig, SweepRow, error_summary, evaluate_dataset, generate_dataset
 from .simulation import run_sweep
 
 
@@ -158,17 +159,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 def _estimate_summary(cfg: RunConfig, errors: list) -> dict:
     # eps_ate per combo; optionally excluding datasets whose DML was infinite.
-    eps = {
-        key: (float(np.mean(errs)) if errs.size else float("nan"), errs.size, n_excluded)
-        for key, (errs, n_excluded) in kept_errors(errors, cfg.filter_infinite).items()
-    }
+    summary = error_summary(errors, cfg.filter_infinite)
     rows = []
     for lspec in cfg.learners:
         for espec in cfg.estimators:
             key = (lspec.label, espec.label)
-            if key not in eps:
+            if key not in summary:
                 continue
-            value, n_kept, n_excl = eps[key]
+            n_kept, n_excl, value, _ = summary[key]
             row = {
                 "learner": lspec.label,
                 "estimator": espec.label,
@@ -180,15 +178,14 @@ def _estimate_summary(cfg: RunConfig, errors: list) -> dict:
             }
             if espec.kind == "higher_order":
                 for base, col in (("dr", "R_dr"), ("dml", "R_dml")):
-                    base_eps = eps.get((lspec.label, base))
-                    if base_eps is None:
-                        continue
+                    base_eps = summary.get((lspec.label, base), (0, 0, np.nan))[2]
                     # The paper-style tables mark a reduction against an
-                    # infinite baseline with a backslash placeholder.
-                    if not np.isfinite(base_eps[0]):
+                    # infinite baseline with a backslash placeholder; a
+                    # missing or NaN baseline (nothing kept) leaves it blank.
+                    if np.isinf(base_eps):
                         row[col] = "\\"
-                    elif base_eps[0] > 0 and np.isfinite(value):
-                        row[col] = (base_eps[0] - value) / base_eps[0]
+                    elif base_eps > 0 and np.isfinite(value):
+                        row[col] = (base_eps - value) / base_eps
             rows.append(row)
     return {
         "schema_version": 1,
@@ -208,8 +205,7 @@ def _console_number(x: float) -> str:
 def _print_summary(summary: dict) -> None:
     print(f"{'learner':<18} {'estimator':<10} {'eps_ate':>12} {'R_dr':>8} {'R_dml':>8}")
     for row in summary["rows"]:
-        eps = row["eps_ate"]
-        eps_s = _console_number(eps) if np.isfinite(eps) else "inf"
+        eps_s = _console_number(row["eps_ate"])
         r_dr = f"{row['R_dr']:.3f}" if isinstance(row["R_dr"], float) else str(row["R_dr"])
         r_dml = f"{row['R_dml']:.3f}" if isinstance(row["R_dml"], float) else str(row["R_dml"])
         print(f"{row['learner']:<18} {row['estimator']:<10} {eps_s:>12} {r_dr:>8} {r_dml:>8}")
@@ -247,11 +243,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     print(f"wrote {rows_path}")
     print(f"wrote {summary_path}")
     for row in summary["rows"]:
-        eps = row["eps_ate"]
-        eps_s = _console_number(eps) if np.isfinite(eps) else "inf"
         print(
-            f"{kind}={row['grid_value']:<8} {row['learner']:<18} "
-            f"{row['estimator']:<10} eps_ate={eps_s} median={_console_number(row['median'])}"
+            f"{kind}={row['grid_value']:<8} {row['learner']:<18} {row['estimator']:<10} "
+            f"eps_ate={_console_number(row['eps_ate'])} median={_console_number(row['median'])}"
         )
     return 0
 
@@ -264,7 +258,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     failed = False
 
     print("coefficient construction: recursion vs linear-system oracle")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
+    rng = stream(cfg.seed, 99)
     for r, k in ver.rk_pairs:
         worst = 0.0
         seqs = [Moments.from_bernoulli(ver.pi, r)] + [

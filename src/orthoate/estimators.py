@@ -14,13 +14,15 @@ prediction per fold serves every estimator.
 
 The resampling draws, for every estimation-fold unit outside a
 treatment arm, one factual residual of that arm uniformly with
-replacement; the stream for repetition u of treatment i derives from
-the master seed as SeedSequence(seed, spawn_key=(i, u)), so results are
-reproducible and independent of evaluation order.  The draws are those
-of ``Generator.integers(0, pool size)`` on that stream, produced for a
+replacement; the stream for repetition u of treatment i is
+``seeds.stream(seed, i, u)``, so results are reproducible and
+independent of evaluation order.  The draws are those of
+``Generator.integers(0, pool size)`` on that stream, produced for a
 chunk of repetitions at once (at most 8,192 draws per chunk): seed
 words from ``seeds.spawn_words``, raw words from one reused PCG64, and
 numpy's own bounded-integer rule (Lemire 2019) applied to all of them.
+The split is ``seeds.stream(seed)``.  The mean of ``relative_ate_error``
+over datasets, epsilon_ATE, is ``simulation.error_summary``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .exceptions import (
 )
 from .learners.base import check_label_range, integer_labels
 from .score import Moments, compute_coefficients, correction_values
-from .seeds import pcg64_states
+from .seeds import pcg64_states, stream
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def make_split(n: int, ratios=(0.56, 0.14, 0.30), seed: int = 0) -> SplitPlan:
     n_valid = n - n_train - n_test
     if min(n_train, n_valid, n_test) <= 0:
         raise EmptyFold(f"n={n} with ratios {ratios} leaves an empty fold")
-    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+    perm = stream(seed).permutation(n)
     return SplitPlan(
         estimation_idx=np.sort(perm[n_train + n_valid:]),
         training_idx=np.sort(perm[: n_train + n_valid]),
@@ -166,12 +168,10 @@ class EstimateReport:
 
 def _finish_report(estimator, theta, n_floored, moments_used=None, r_reps=0) -> EstimateReport:
     theta = np.asarray(theta, dtype=float)
-    with np.errstate(invalid="ignore"):
-        pairwise = theta[:, None] - theta[None, :]
     return EstimateReport(
         estimator=estimator,
         theta=theta,
-        ate_pairwise=pairwise,
+        ate_pairwise=pairwise_from_theta(theta),
         diagnostics=Diagnostics(
             n_floored=n_floored,
             infinite=bool(np.isinf(theta).any()),
@@ -225,11 +225,10 @@ _CHUNK_DRAWS = 8192
 def _resample_indices(seed: int, i: int, R: int, n: int, size: int):
     """Yield ``integers(0, n, size=size)`` of each repetition u's stream, a chunk of u at a time.
 
-    The stream of u is ``default_rng(SeedSequence(seed, spawn_key=(i,
-    u)))``; each chunk has one row per u, in order.  For n < 2**32 numpy
-    maps each 32-bit output word x (the low half of a raw word first)
-    to (x * n) >> 32 and rejects x when the low 32 bits of x * n fall
-    below (2**32 - n) % n.  A row whose first ``size`` words hold a
+    The stream of u is ``stream(seed, i, u)``; each chunk has one row
+    per u, in order.  For n < 2**32 numpy maps each 32-bit output word
+    x (the low half of a raw word first) to (x * n) >> 32 and rejects x
+    when the low 32 bits of x * n fall below (2**32 - n) % n.  A row whose first ``size`` words hold a
     rejection, and every row when n >= 2**32, is redrawn by
     ``Generator.integers`` itself from the row's state.
     """
@@ -279,7 +278,6 @@ def estimate_higher_order(
     seed: int = 0,
     moments=None,
     n_floored: int = 0,
-    resampler=None,
 ) -> EstimateReport:
     """Debiased estimator built on the order-(r, k) orthogonal score.
 
@@ -293,10 +291,7 @@ def estimate_higher_order(
 
     ``moments`` overrides the residual moments estimated from (d, P)
     (one Moments per treatment), e.g. with exact model moments or
-    moments of the training fold.  ``resampler`` is a test hook
-    replacing the uniform draws; it receives (rng, pool, fold
-    positions of the target units, treatment) and must return one
-    residual per target unit.
+    moments of the training fold.
     """
     if R < 1:
         raise InvalidArgument("R must be >= 1")
@@ -316,20 +311,7 @@ def estimate_higher_order(
         term_a = float(G[:, i].mean())
         term_b = float((pool * A[factual]).sum() / N)
         counter = ~factual
-        if counter.any():
-            A_c = A[counter]
-            if resampler is None:
-                term_c = _counterfactual_term(pool, A_c, N, R, seed, i)
-            else:
-                acc = 0.0
-                positions = np.flatnonzero(counter)
-                for u in range(R):
-                    rng_u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, u)))
-                    draws = np.asarray(resampler(rng_u, pool, positions, i), dtype=float)
-                    acc += float((draws * A_c).sum() / N)
-                term_c = acc / R
-        else:
-            term_c = 0.0
+        term_c = _counterfactual_term(pool, A[counter], N, R, seed, i) if counter.any() else 0.0
         theta[i] = term_a + term_b + term_c
     return _finish_report(
         f"ho({r},{k})", theta, n_floored, moments_used=tuple(moments_used), r_reps=R
@@ -337,13 +319,14 @@ def estimate_higher_order(
 
 
 def pairwise_from_theta(theta) -> np.ndarray:
-    """Antisymmetric matrix of pairwise effects theta_i - theta_k."""
+    """Antisymmetric matrix of pairwise effects theta_i - theta_k (inf - inf gives NaN)."""
     theta = np.asarray(theta, dtype=float)
-    return theta[:, None] - theta[None, :]
+    with np.errstate(invalid="ignore"):
+        return theta[:, None] - theta[None, :]
 
 
 def relative_ate_error(ate_hat: np.ndarray, ate_true: np.ndarray) -> float:
-    """Sum of |error| over ordered pairs divided by the sum of |truth|."""
+    """Sum of |error| over ordered pairs divided by the sum of |truth|; NonFinite if it overflows."""
     ate_hat = np.asarray(ate_hat, dtype=float)
     ate_true = np.asarray(ate_true, dtype=float)
     if ate_hat.shape != ate_true.shape or ate_hat.ndim != 2:
@@ -352,19 +335,9 @@ def relative_ate_error(ate_hat: np.ndarray, ate_true: np.ndarray) -> float:
     denom = float(np.abs(ate_true[off]).sum())
     if denom == 0.0:
         raise ZeroDenominator("all true pairwise effects are zero")
-    return float(np.abs(ate_hat[off] - ate_true[off]).sum() / denom)
+    with np.errstate(over="ignore"):
+        error = float(np.abs(ate_hat[off] - ate_true[off]).sum() / denom)
+    if np.isinf(error) and np.isfinite(ate_hat).all():
+        raise NonFinite("relative ATE error overflows the float range")
+    return error
 
-
-def epsilon_ate(estimates, truths) -> float:
-    """Mean over datasets of the per-dataset relative pairwise-ATE error.
-
-    ``estimates`` holds EstimateReports (or pairwise matrices) and
-    ``truths`` the matching true pairwise matrices.
-    """
-    if len(estimates) != len(truths) or not estimates:
-        raise ShapeMismatch("need equally many (non-zero) estimates and truths")
-    total = 0.0
-    for est, true in zip(estimates, truths):
-        ate_hat = est.ate_pairwise if isinstance(est, EstimateReport) else est
-        total += relative_ate_error(ate_hat, true)
-    return total / len(estimates)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .exceptions import InvalidArgument, InvalidOrder
 from .score import Moments, OrthoCoefficients, binomial, correction_values, dml_correction_values
+from .seeds import stream
 
 PROPENSITY_LO = 0.01
 PROPENSITY_HI = 0.99
@@ -169,7 +170,7 @@ def draw_at_truth(
 ) -> TruthDraw:
     """Draw once, keeping only what the stencil reads; bad arguments raise before the draw."""
     _check_arguments(model, order, epsilon, n_draws, treatment, directions)
-    Z, d, y_pot = model.sample_potential(n_draws, np.random.default_rng(np.random.SeedSequence(seed)))
+    Z, d, y_pot = model.sample_potential(n_draws, stream(seed))
     t_ind, y = (d == treatment).astype(float), y_pot[:, treatment].copy()
     del d, y_pot
     a0 = model.propensities(Z)[:, treatment].copy()

@@ -67,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import InvalidArgument, NonFinite, ShapeMismatch
+from ..seeds import stream
 from .base import class_count, integer_labels, validate_features
 
 _OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
@@ -211,8 +212,7 @@ class _Group:
         self.X, self.target, self.ranks, self.n_ranks = X, target, ranks, n_ranks
         self.max_depth, self.min_leaf, self.n_classes = max_depth, min_leaf, n_classes
         self.mtry = _default_mtry(X.shape[1])
-        self.rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-                     for t in trees]
+        self.rngs = [stream(seed, t) for t in trees]
         g = len(self.rngs)
         self.order = np.empty(g * n, dtype=np.int32)
         pure = np.empty(g, dtype=bool)

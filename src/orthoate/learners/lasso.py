@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import InvalidArgument, NonFinite, ShapeMismatch
+from ..seeds import stream
 from .base import Standardizer, validate_features
 
 
@@ -97,7 +98,10 @@ def _descend(prob: _Problem, lam: float, max_iter: int, tol: float) -> LassoFit:
         if max_delta <= tol:
             break
     coef_std = np.array(w, dtype=float)
-    coef = coef_std / prob.std.scale
+    with np.errstate(over="ignore"):
+        coef = coef_std / prob.std.scale
+    if not np.all(np.isfinite(coef)):
+        raise NonFinite("lasso coefficients overflow; rescale the outcome or the covariates")
     intercept = prob.y_mean - float(coef @ prob.std.mean)
     return LassoFit(
         intercept=intercept, coef=coef, lam=lam, n_iter=n_iter, std=prob.std, coef_std=coef_std
@@ -181,7 +185,7 @@ def fit_lasso_cv(
         _check_lam(lam)
     if len(grid) == 1 or n < 2 * n_folds:
         return fit_lasso(X, y, grid[0], max_iter=max_iter, tol=tol)
-    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+    perm = stream(seed).permutation(n)
     folds = np.array_split(perm, n_folds)
     errs = np.zeros(len(grid))
     for fold in folds:

@@ -1,5 +1,9 @@
 """Child seeds derived from a master seed by fixed spawn keys.
 
+Every random stream of the package is ``stream(seed, *key)`` or is
+seeded by ``seed_int(seed, *key)``; with no key, ``stream(seed)`` is
+the stream of ``SeedSequence(seed)``.
+
 ``spawn_words`` gives the PCG64 seed words of many spawn keys that
 differ only in their last element, in one pass: numpy's SeedSequence
 hash (mix_entropy, then generate_state) mixes the words before that
@@ -25,6 +29,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of SeedSequence(seed, spawn_key=key)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def seed_int(seed: int, *key: int) -> int:

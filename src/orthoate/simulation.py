@@ -43,7 +43,7 @@ from .estimators import (
 from .exceptions import ConfigError, InvalidArgument, ShapeMismatch
 from .learners import LearnerSpec, fit_nuisances, softmax
 from .score import Moments, _validate_orders
-from .seeds import seed_int
+from .seeds import seed_int, stream
 
 SWEEP_KINDS = ("confounding", "dimension", "samplesize")
 
@@ -118,15 +118,16 @@ def run_estimators(specs, ds, split, fits, seed: int = 0, moments_from: str = "e
     return reports
 
 
-def kept_errors(errors, filter_infinite: bool) -> dict:
-    """Group relative errors, optionally dropping units whose DML error is not finite.
+def error_summary(errors, filter_infinite: bool) -> dict:
+    """epsilon_ATE and the median of the kept relative errors per (group, estimator).
 
     ``errors`` holds (group, estimator, unit, rel_error) tuples; a unit
     is a dataset or replication and a group the learner label, or the
     (grid value, learner label) pair of a sweep.  With
     ``filter_infinite`` a unit whose "dml" error in a group is not
     finite is dropped from every estimator of that group.  Returns
-    {(group, estimator): (kept errors as an array, number excluded)}.
+    {(group, estimator): (n kept, n excluded, mean, median)}; the mean
+    and median are NaN when no unit is kept.
     """
     bad = {
         (group, unit)
@@ -137,7 +138,11 @@ def kept_errors(errors, filter_infinite: bool) -> dict:
     for group, estimator, unit, err in errors:
         kept, excluded = groups.setdefault((group, estimator), ([], []))
         (excluded if (group, unit) in bad else kept).append(err)
-    return {key: (np.asarray(kept), len(excluded)) for key, (kept, excluded) in groups.items()}
+    summary = {}
+    for key, (kept, excluded) in groups.items():
+        stats = (float(np.mean(kept)), float(np.median(kept))) if kept else (math.nan, math.nan)
+        summary[key] = (len(kept), len(excluded), *stats)
+    return summary
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,7 @@ class TreatmentOutcomeModel:
             for dim in range(c):
                 w = w * np.meshgrid(*([weights] * c), indexing="ij")[dim].ravel()
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_TAG_PARAMS + 7,)))
-            Zc = rng.standard_normal((mc_draws, c))
+            Zc = stream(seed, _TAG_PARAMS + 7).standard_normal((mc_draws, c))
             w = np.full(mc_draws, 1.0 / mc_draws)
         pi = softmax(Zc @ self.beta.T)[:, i]
         q = np.arange(1, max_order + 1)[:, None]
@@ -243,7 +247,7 @@ class TreatmentOutcomeModel:
 
 def draw_default_params(p: int, n_confounding: int, n_treatments: int = 3, seed: int = 0):
     """Draw (beta, outcome_coeffs) from the benchmark distributions."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_TAG_PARAMS,)))
+    rng = stream(seed, _TAG_PARAMS)
     beta = rng.uniform(-0.1, 0.1, size=(n_treatments, n_confounding))
     outcome_coeffs = rng.uniform(0.1, 0.5, size=(n_treatments, p))
     return beta, outcome_coeffs
@@ -311,12 +315,6 @@ class SimConfig:
         )
 
 
-def _replication_rng(master_seed: int, replication: int, purpose: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(replication, purpose))
-    )
-
-
 def generate_dataset(cfg: SimConfig, replication: int = 0) -> Dataset:
     """Draw one dataset whose ``truth`` holds each unit's true outcome means.
 
@@ -328,16 +326,15 @@ def generate_dataset(cfg: SimConfig, replication: int = 0) -> Dataset:
     covariate-dimension changes leave them untouched.
     """
     model = cfg.model()
-    Z = _replication_rng(cfg.master_seed, replication, _PURPOSE_Z).standard_normal((cfg.Q, cfg.p))
+    seed = cfg.master_seed
+    Z = stream(seed, replication, _PURPOSE_Z).standard_normal((cfg.Q, cfg.p))
     pi = model.propensities(Z)
-    u = _replication_rng(cfg.master_seed, replication, _PURPOSE_TREATMENT).random(cfg.Q)
+    u = stream(seed, replication, _PURPOSE_TREATMENT).random(cfg.Q)
     d = model.assign_treatments(pi, u)
     means = np.column_stack([model.outcome_mean(i, Z) for i in range(cfg.n_treatments)])
     y_pot = np.empty_like(means)
     for i in range(cfg.n_treatments):
-        noise = _replication_rng(cfg.master_seed, replication, _PURPOSE_NOISE + i).normal(
-            0.0, model.noise_sd[i], cfg.Q
-        )
+        noise = stream(seed, replication, _PURPOSE_NOISE + i).normal(0.0, model.noise_sd[i], cfg.Q)
         y_pot[:, i] = means[:, i] + noise
     y = y_pot[np.arange(cfg.Q), d]
     return Dataset(y=y, d=d, Z=Z, truth=means, n_treatments=cfg.n_treatments)
@@ -360,8 +357,8 @@ class NoisyPropensity:
         P = np.asarray(self.base.predict_proba(X), dtype=float)
         if self.sd == 0.0:
             return P
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(_TAG_NOISE_WRAP,)))
-        logits = np.log(np.clip(P, 1e-300, None)) + rng.normal(0.0, self.sd, P.shape)
+        noise = stream(self.seed, _TAG_NOISE_WRAP).normal(0.0, self.sd, P.shape)
+        logits = np.log(np.clip(P, 1e-300, None)) + noise
         return softmax(logits)
 
 
@@ -439,25 +436,13 @@ class SweepReport:
         non-finite is dropped from all estimators' aggregates at that
         grid point, and the exclusion count is reported.
         """
-        groups = kept_errors(
+        groups = error_summary(
             [((r.grid_value, r.learner), r.estimator, r.replication, r.rel_error) for r in self.rows],
             filter_infinite,
         )
-        out = []
-        for (gv, learner), estimator in sorted(groups):
-            errs, n_excluded = groups[(gv, learner), estimator]
-            out.append(
-                {
-                    "grid_value": gv,
-                    "learner": learner,
-                    "estimator": estimator,
-                    "n": errs.size,
-                    "n_excluded": n_excluded,
-                    "eps_ate": float(np.mean(errs)) if errs.size else float("nan"),
-                    "median": float(np.median(errs)) if errs.size else float("nan"),
-                }
-            )
-        return out
+        columns = ("grid_value", "learner", "estimator", "n", "n_excluded", "eps_ate", "median")
+        return [dict(zip(columns, (*group, estimator, *groups[group, estimator])))
+                for group, estimator in sorted(groups)]
 
 
 def _grid_config(cfg: SimConfig, kind: str, value, beta_full, coeffs_full) -> SimConfig:

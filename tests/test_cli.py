@@ -173,6 +173,24 @@ class TestZeroPropensity:
         ho_row = next(r for r in summary["rows"] if r["estimator"] == "ho(2,2)")
         assert isinstance(ho_row["R_dml"], float)
 
+    def test_filter_infinite_excluding_every_dataset(self, workspace, zp_config, capsys):
+        # The only dataset's DML error is infinite, so the filter keeps
+        # nothing: every eps_ate is NaN, on disk and on the console, and
+        # no R cell claims a reduction against an infinite baseline.
+        cfg = write_json(workspace / "cfg.json", zp_config)
+        assert main(["estimate", "--config", cfg, "--filter-infinite"]) == 0
+        rows = read_report_csv(workspace / "out" / "summary.csv")["rows"]
+        assert [(r["estimator"], r["n_datasets"], r["n_excluded"]) for r in rows] == [
+            ("dr", 0, 1), ("dml", 0, 1), ("ho(2,2)", 0, 1),
+        ]
+        assert all(math.isnan(r["eps_ate"]) for r in rows)
+        assert (rows[2]["R_dr"], rows[2]["R_dml"]) == (None, None)
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in out[-3:]] == [
+            ["lasso+forest", "dr", "nan"], ["lasso+forest", "dml", "nan"],
+            ["lasso+forest", "ho(2,2)", "nan"],
+        ]
+
 
 class TestFailedDataset:
     def test_failed_dataset_stays_out_of_summary(self, workspace, capsys):

@@ -9,6 +9,7 @@ from orthoate import (
     EstimatorSpec,
     InvalidArgument,
     MissingClass,
+    NonFinite,
     Moments,
     NuisanceFits,
     ShapeMismatch,
@@ -16,7 +17,6 @@ from orthoate import (
     ZeroDenominator,
     compute_coefficients,
     correction_values,
-    epsilon_ate,
     estimate_dml,
     estimate_dr,
     estimate_higher_order,
@@ -29,6 +29,7 @@ from orthoate import (
     run_estimators,
     single_resample_pass,
 )
+from orthoate.simulation import error_summary
 
 
 def constant_fits(g_values, pi_values, floor=0.0) -> NuisanceFits:
@@ -248,39 +249,37 @@ class TestHigherOrder:
         with pytest.raises(EmptyResidualSet):
             estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=1, seed=0)
 
-    def test_decomposition_identity_with_identity_resampler(self):
-        # When the resampler returns each unit's actual counterfactual
-        # residual, R=1 reproduces the direct full-information estimator.
+    def test_decomposition_identity_with_constant_residuals(self):
+        # Every factual and every true counterfactual residual is c, so
+        # each resampled draw equals the unit's own residual and any R
+        # and seed reproduce the direct full-information estimator
+        # mean(g_i) + c * sum(A) / N.
+        c = 0.75
         rng = np.random.default_rng(17)
         n = 60
         Z = rng.normal(size=(n, 2))
-        potential = np.column_stack([Z[:, 0], 1.0 + Z[:, 1] ** 2])
+        # Multiples of 1/8, so y - g_i is exactly c.
+        g_hat = [lambda Z: np.floor(8 * Z[:, 0]) / 8, lambda Z: 1.0 + np.floor(4 * Z[:, 1]) / 8]
+        potential = np.column_stack([g(Z) for g in g_hat]) + c
         d = (rng.uniform(size=n) < 0.5).astype(int)
-        y = potential[np.arange(n), d]
-        ds = Dataset(y=y, d=d, Z=Z, n_treatments=2)
+        ds = Dataset(y=potential[np.arange(n), d], d=d, Z=Z, n_treatments=2)
         split = make_split(n, (0.4, 0.2, 0.4), seed=2)
-        g_hat = [lambda Z: 0.1 * Z[:, 0], lambda Z: 1.0 + 0.5 * Z[:, 1]]
         fits = NuisanceFits.from_callables(g_hat, lambda Z: np.tile([0.5, 0.5], (len(Z), 1)))
 
         idx = split.estimation_idx
-
-        def identity_resampler(rng_u, pool, positions, i):
-            rows = idx[positions]
-            return potential[rows, i] - g_hat[i](Z[rows])
-
-        rep = estimate_higher_order(
-            *fold_arrays(ds, split, fits), r=2, k=2, R=1, seed=0, resampler=identity_resampler
-        )
-
         N = idx.size
+        direct = []
         for i in range(2):
+            np.testing.assert_array_equal(potential[idx, i] - g_hat[i](Z[idx]), c)
             mom = estimate_moments(ds.d[idx], np.full(N, 0.5), i, 2)
             coeffs = compute_coefficients(2, 2, mom)
             t = (ds.d[idx] == i).astype(float)
             A = correction_values(t, np.full(N, 0.5), coeffs, mom)
-            resid = potential[idx, i] - g_hat[i](Z[idx])
-            direct = g_hat[i](Z[idx]).mean() + (resid * A).sum() / N
-            assert rep.theta[i] == pytest.approx(direct, abs=1e-12)
+            direct.append(g_hat[i](Z[idx]).mean() + c * A.sum() / N)
+
+        for R, seed in ((1, 0), (7, 3), (40, 12345)):
+            rep = estimate_higher_order(*fold_arrays(ds, split, fits), r=2, k=2, R=R, seed=seed)
+            np.testing.assert_allclose(rep.theta, direct, rtol=0, atol=1e-12)
 
     def test_fold_hygiene(self, toy):
         # Predictions must be requested for estimation rows only.
@@ -378,16 +377,26 @@ class TestErrorMetric:
         assert relative_ate_error(hat, true) == pytest.approx(0.1, rel=1e-12)
 
     def test_mean_over_datasets(self):
+        # epsilon_ATE is the reports' mean of per-dataset errors.
         base = pairwise_from_theta(np.array([1.0, 0.0]))
         hats = [pairwise_from_theta(np.array([1.1, 0.0])), pairwise_from_theta(np.array([1.3, 0.0]))]
-        assert epsilon_ate(hats, [base, base]) == pytest.approx(0.2, rel=1e-12)
+        errors = [("learner", "dml", unit, relative_ate_error(hat, base)) for unit, hat in enumerate(hats)]
+        n_kept, n_excluded, mean, median = error_summary(errors, filter_infinite=False)["learner", "dml"]
+        assert (n_kept, n_excluded) == (2, 0)
+        assert mean == pytest.approx(0.2, rel=1e-12)
+        assert median == mean
+
+    def test_ratio_overflow_raises_nonfinite(self):
+        # Finite estimates against subnormal true effects: the ratio
+        # overflows, which is an error, not an infinite estimate.
+        hat = pairwise_from_theta(np.array([1.0, 0.0]))
+        tiny = pairwise_from_theta(np.array([5e-324, 0.0]))
+        with pytest.raises(NonFinite, match="overflows"):
+            relative_ate_error(hat, tiny)
+        infinite = pairwise_from_theta(np.array([np.inf, 0.0]))
+        assert relative_ate_error(infinite, tiny) == np.inf
 
     def test_zero_denominator(self):
         zero = pairwise_from_theta(np.array([0.0, 0.0]))
         with pytest.raises(ZeroDenominator):
             relative_ate_error(zero, zero)
-
-    def test_epsilon_ate_validates_lengths(self):
-        m = pairwise_from_theta(np.array([1.0, 0.0]))
-        with pytest.raises(ShapeMismatch):
-            epsilon_ate([m], [m, m])

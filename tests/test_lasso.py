@@ -109,6 +109,17 @@ def test_covariates_whose_variance_overflows_raise_nonfinite(column):
             Standardizer.fit(X)
 
 
+def test_coefficients_that_overflow_on_the_original_scale_raise_nonfinite():
+    # A covariate spread near 1e-150 against an outcome near 1e300: the
+    # standardised coefficient is finite, its unscaled value is not.
+    X = 1e-150 * np.array([[0.0], [1.0], [0.0], [1.0], [2.0], [0.0]])
+    y = 1e300 * np.array([0.0, 1.0, 0.0, 1.0, 2.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="coefficients overflow"):
+            fit_lasso(X, y, 1e-3)
+
+
 def assert_same_fit(got, want):
     assert got.lam == want.lam and got.n_iter == want.n_iter
     assert got.intercept.hex() == want.intercept.hex()
