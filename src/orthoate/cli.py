@@ -33,7 +33,7 @@ from .score import (
 )
 from .seeds import stream
 from .simulation import SimConfig, SweepRow, error_summary, evaluate_dataset, generate_dataset
-from .simulation import run_sweep
+from .simulation import SWEEP_SUMMARY_COLUMNS, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,7 +235,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "master_seed": cfg.seed,
         "filter_infinite": cfg.filter_infinite,
-        "columns": ["grid_value", "learner", "estimator", "n", "n_excluded", "eps_ate", "median"],
+        "columns": list(SWEEP_SUMMARY_COLUMNS),
         "rows": report.aggregate(filter_infinite=cfg.filter_infinite),
     }
     summary_path = out / f"sweep_{kind}_summary.json"

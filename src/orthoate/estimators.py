@@ -191,16 +191,17 @@ def estimate_dml(y, d, G, P, n_floored: int = 0) -> EstimateReport:
     """First-order debiased estimator.
 
     theta_i = mean(g_i) + (1/N) sum over factual units of
-    (y - g_i) / pi_i.  A zero estimated propensity on a factual unit
-    produces an infinite estimate; it is recorded in the diagnostics,
-    never masked here.
+    (y - g_i) / pi_i.  A zero estimated propensity on a factual unit, or
+    one small enough for the weighted residuals to overflow, produces an
+    infinite estimate; it is recorded in the diagnostics, never masked
+    here.
     """
     N = y.size
     theta = np.zeros(G.shape[1])
     for i in range(G.shape[1]):
         mask = d == i
         resid = y[mask] - G[mask, i]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             contrib = resid / P[mask, i]
             theta[i] = G[:, i].mean() + contrib.sum() / N
     return _finish_report("dml", theta, n_floored)

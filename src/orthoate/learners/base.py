@@ -95,8 +95,11 @@ class Standardizer:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         # Divides in place: one full-size temporary, not two.
-        Xs = X - self.mean
-        Xs /= self.scale
+        with np.errstate(over="ignore"):
+            Xs = X - self.mean
+            Xs /= self.scale
+        if not np.isfinite(Xs).all():
+            raise NonFinite("standardised covariates overflow; rescale the covariates")
         return Xs
 
 

@@ -46,6 +46,7 @@ from .score import Moments, _validate_orders
 from .seeds import seed_int, stream
 
 SWEEP_KINDS = ("confounding", "dimension", "samplesize")
+SWEEP_SUMMARY_COLUMNS = ("grid_value", "learner", "estimator", "n", "n_excluded", "eps_ate", "median")
 
 # Purpose tags for per-replication random streams.
 _PURPOSE_Z = 0
@@ -440,8 +441,7 @@ class SweepReport:
             [((r.grid_value, r.learner), r.estimator, r.replication, r.rel_error) for r in self.rows],
             filter_infinite,
         )
-        columns = ("grid_value", "learner", "estimator", "n", "n_excluded", "eps_ate", "median")
-        return [dict(zip(columns, (*group, estimator, *groups[group, estimator])))
+        return [dict(zip(SWEEP_SUMMARY_COLUMNS, (*group, estimator, *groups[group, estimator])))
                 for group, estimator in sorted(groups)]
 
 

@@ -10,6 +10,10 @@ which covers tracebacks and, since the suite turns ``RuntimeWarning``
 into an error, stray warnings.  The one other documented exit, 3, is
 allowed for ``verify`` alone and must come with a ``FAIL`` line: a
 mutated tolerance or step size can make a check fail.
+
+Both properties are derandomized, so every run of the suite replays the
+same examples; raise ``max_examples`` and drop ``derandomize`` to search
+further.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def assert_clean_exit(argv, code, out, err) -> None:
         assert any(line.startswith(("error:", "config error:")) for line in err.splitlines()), err
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     data=st.data(),
     n=st.integers(20, 60),
@@ -121,7 +125,7 @@ def test_estimate_on_mutated_dataset_ends_cleanly(
     assert_clean_exit(argv, *run_cli(work, argv))
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(data=st.data(), command=st.sampled_from(["simulate", "estimate", "sweep", "verify"]))
 def test_mutated_config_ends_cleanly(tmp_path_factory, data, command):
     work = tmp_path_factory.mktemp("config")

@@ -214,6 +214,18 @@ class TestBaselines:
         assert rep.diagnostics.infinite
         assert np.isinf(rep.theta[1])
 
+    def test_dml_vanishing_propensity_overflows_to_infinite(self, toy):
+        # Residuals of 3 and 5 over a propensity of 1e-308 overflow; the
+        # estimate is infinite, as for a zero propensity, with no warning.
+        ds, split = toy
+        fits = NuisanceFits.from_callables(
+            [lambda Z: np.zeros(len(Z)), lambda Z: np.zeros(len(Z))],
+            lambda Z: np.tile([1.0, 1e-308], (len(Z), 1)),
+        )
+        rep = estimate_dml(*fold_arrays(ds, split, fits))
+        assert rep.diagnostics.infinite
+        assert rep.theta[1] == np.inf and np.isfinite(rep.theta[0])
+
     def test_antisymmetry(self, toy):
         ds, split = toy
         fits = constant_fits([1.0, 2.0], [0.4, 0.6])

@@ -109,6 +109,16 @@ def test_covariates_whose_variance_overflows_raise_nonfinite(column):
             Standardizer.fit(X)
 
 
+def test_rows_that_overflow_when_standardised_raise_nonfinite():
+    # Training rows spread near 1e-25 give a tiny scale; a prediction
+    # row at 1e300 then overflowed with a RuntimeWarning.
+    std = Standardizer.fit(np.array([[2.2e-9], [2.2e-9 + 4e-25], [2.2e-9]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="standardised covariates overflow"):
+            std.transform(np.array([[1e300]]))
+
+
 def test_coefficients_that_overflow_on_the_original_scale_raise_nonfinite():
     # A covariate spread near 1e-150 against an outcome near 1e300: the
     # standardised coefficient is finite, its unscaled value is not.
