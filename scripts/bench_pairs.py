@@ -18,7 +18,13 @@ metric, the pairs the change won on each, and a verdict by the claim
 rule: the change may claim a gain on a metric only when it wins at
 least nine tenths of the pairs run (ties count for neither side) and
 its median is better than the parent's by more than the parent's
-interquartile range.  Every run keeps its exit code; a run whose last
+interquartile range.  Each metric also gets a no-regression verdict
+against its bound in the repository's ``BENCHMARK.json``
+(``end_to_end[].bound``, a fraction of the parent's median): ``worse``
+when the change's median exceeds the parent's by more than the bound,
+``unresolved`` when the parent's interquartile range is wider than the
+bound and not every change run beats every parent run, and ``ok``
+otherwise.  Every run keeps its exit code; a run whose last
 stdout line is not a result object also keeps that line's first 200
 characters.  The script exits 1 if
 any run is not ``"correct": true`` or the two sides' report digests
@@ -37,6 +43,7 @@ import sys
 from pathlib import Path
 
 SECONDS = 28
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 LAST_LINE_CHARS = 200
@@ -113,8 +120,37 @@ def verdict(metric: dict, pairs: int) -> dict:
     }
 
 
+def load_bounds(path: Path = BENCHMARK) -> dict:
+    """Each end-to-end metric's regression bound, a fraction of the parent's median."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def regression(metric: dict, bound: float) -> dict:
+    """Whether ``metric`` (lower is better) got worse than the parent by more than ``bound``.
+
+    ``worse``: the change's median exceeds the parent's by more than
+    ``bound`` times the parent's median.  ``unresolved``: the parent's
+    interquartile range is wider than that margin, so a median inside it
+    shows nothing, unless every change run beats every parent run; also
+    when either side has no values.  ``ok`` otherwise.
+    """
+    parent, change = metric["parent"], metric["change"]
+    if parent["median"] is None or change["median"] is None:
+        return {"bound": bound, "limit": None, "parent_iqr": None, "verdict": "unresolved"}
+    margin = bound * parent["median"]
+    iqr = parent["quartiles"][1] - parent["quartiles"][0]
+    if change["median"] - parent["median"] > margin:
+        verdict = "worse"
+    elif iqr > margin and max(change["values"]) >= min(parent["values"]):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    return {"bound": bound, "limit": parent["median"] + margin, "parent_iqr": iqr,
+            "verdict": verdict}
+
+
 def summarize(runs: list) -> dict:
-    """Medians, quartiles, wins and checks of a list of runs.
+    """Medians, quartiles, wins, verdicts and checks of a list of runs.
 
     Each run is ``{"pair": i, "side": "parent" or "change", "result":
     ..., "report_digest": ...}``.  A pair is won by the side with the
@@ -130,6 +166,7 @@ def summarize(runs: list) -> dict:
             return None
         return run["result"]["metrics"][name]["value"]
 
+    bounds = load_bounds()
     metrics = {}
     for name in METRICS:
         sides = {side: [v for r in runs if r["side"] == side
@@ -148,6 +185,7 @@ def summarize(runs: list) -> dict:
             "wins": wins,
         }
         metrics[name]["verdict"] = verdict(metrics[name], len(by_pair))
+        metrics[name]["regression"] = regression(metrics[name], bounds[name])
     digests = {side: sorted({r["report_digest"] for r in runs if r["side"] == side}, key=str)
                for side in SIDES}
     all_correct = all(
@@ -211,8 +249,9 @@ def main(argv=None) -> int:
     doc["entries"] = dict(sorted(doc["entries"].items()))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     gains = {name: m["verdict"]["gain"] for name, m in summary["metrics"].items()}
+    regressions = {name: m["regression"]["verdict"] for name, m in summary["metrics"].items()}
     print(json.dumps({**{k: summary[k] for k in ("pairs", "all_correct", "same_digest", "ok")},
-                      "gain": gains}))
+                      "gain": gains, "regression": regressions}))
     return 0 if summary["ok"] else 1
 
 

@@ -27,17 +27,33 @@ draws does not depend on the data.  It is taken ``_DRAW_BLOCK`` draws
 at a time with one ``rng.permuted`` call, which gives the same
 permutations as successive shuffles, and only the first ``mtry``
 entries of each are kept.  The stacks of a group are one int32 array
-of shape (trees, height, 4), each entry a node's (start, size, depth,
-node id), and a height per tree; the array doubles in height when a
-tree outgrows it.
+of shape (trees, height, 5), each entry a node's (start, entries, size,
+depth, node id), and a height per tree; the array doubles in height
+when a tree outgrows it.
+
+A classification tree keeps each distinct row of its bootstrap sample
+once, as one entry with the row's multiplicity as an int32 weight; a
+bootstrap sample of n rows holds about 1 - (1 - 1/n)**n, or 63%, of
+them.  A node's size (the rows the leaf-by-size rule and the scores
+count) is then the sum of its entries' weights, and the left size at a
+boundary is a segmented cumulative sum of the weights.  This is exact:
+class counts are integers, so weighted counts are the same floats as
+counts of repeated rows, and a boundary between two copies of one row,
+or between any two rows of equal value, is never valid, so the order
+of rows inside a tie changes no valid boundary's score.  Regression
+keeps every drawn row as its own entry, in bootstrap position order:
+its prefix sums and leaf means are sequential float sums whose bits
+depend on the number and order of the additions.
 
 Scores use the same floating-point operations, in the same order, as a
 per-node computation:
 
-- a node's rows are kept in ascending bootstrap position; for a
+- a node's entries are kept in ascending bootstrap position (distinct
+  rows of a classification tree in ascending row order); for a
   candidate feature they are ordered by (value, position), the order a
   stable argsort of the node's values gives, by sorting one int64 key
-  per row packed from (node, dense rank of the value, position);
+  per entry packed as bit fields (node, dense rank of the value,
+  position);
 - a regression score needs each node's prefix sums accumulated from
   zero.  A prefix sum over all nodes at once minus each node's offset
   differs in the last bits, so nodes are padded into the rows of 2-d
@@ -53,11 +69,19 @@ per-node computation:
 Scores or leaf means that overflow raise :class:`NonFinite`, so the
 comparisons never see NaN.  The memory a fit needs besides its trees is
 bounded by three constants: a round takes trees in order until their
-nodes hold ``_BATCH_ROWS`` rows, so per candidate feature its scoring
-arrays hold fewer rows than that plus those of its last node;
-``_GROUP_TREES`` trees share one row buffer; and each tree of a group
-keeps ``_DRAW_BLOCK`` draws of ``mtry`` features.  How trees are cut
-into rounds does not change any tree.
+nodes hold ``_BATCH_ROWS`` entries, so per candidate feature its
+scoring arrays hold fewer entries than that plus those of its last
+node; ``_GROUP_TREES`` trees share one entry buffer; and each tree of a
+group keeps ``_DRAW_BLOCK`` draws of ``mtry`` features.  How trees are
+cut into rounds does not change any tree.
+
+The trees of a group are stored end to end in one array per field
+(``_Pack``), and each tree is a view into them.  Prediction walks the
+(tree, row) pairs of several trees at once through those arrays, at
+most ``_WALK_PAIRS`` pairs at a time, so its memory does not grow with
+the query.  It then adds each tree's leaf values into the output one
+tree after another, so every output element is the same sequential
+float sum, tree 0 first, as adding one tree's predictions at a time.
 """
 
 from __future__ import annotations
@@ -72,7 +96,7 @@ from .base import class_count, integer_labels, validate_features
 
 _OVERFLOW = "forest split scores overflow: the target is too large in magnitude"
 
-# Node rows gathered into one batch of scoring work, and trees grown
+# Node entries gathered into one batch of scoring work, and trees grown
 # together in lock step.
 _BATCH_ROWS = 8192
 _GROUP_TREES = 100
@@ -80,6 +104,8 @@ _GROUP_TREES = 100
 # initial height of a tree's node stack.
 _DRAW_BLOCK = 64
 _STACK_HEIGHT = 16
+# (tree, row) pairs walked together when predicting.
+_WALK_PAIRS = 16384
 
 
 class _Tree:
@@ -92,20 +118,73 @@ class _Tree:
         self.right = right
         self.value = value
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        # Node links are stored as int32; gathers run faster on indices
-        # of the platform type, so widen them once per call.
-        feature, left, right = (a.astype(np.intp) for a in (self.feature, self.left, self.right))
-        node = np.zeros(X.shape[0], dtype=np.intp)
+
+class _Pack:
+    """The trees of one lock-step group, stored end to end.
+
+    Tree t holds nodes ``base[t]`` to ``base[t + 1] - 1`` of each array;
+    its ``left`` and ``right`` links count from its own first node, and a
+    split's right child is always the node after its left child.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "value", "base", "trees")
+
+    def __init__(self, feature, threshold, left, right, value, base):
+        self.feature, self.threshold, self.left, self.value = feature, threshold, left, value
+        self.base = base
+        bounds = base.tolist()
+        self.trees = [
+            _Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+
+    def leaves(self, flat, at, t0, t1):
+        """Leaf node of each (tree, row) pair of trees t0 to t1 - 1, tree-major.
+
+        ``flat`` is the C-ordered query matrix, raveled, and ``at`` the
+        offset of each queried row's first value in it.  Pairs that reach
+        a leaf leave the walk.
+        """
+        m = at.size
+        off = np.repeat(self.base[t0:t1], m)
+        node = off.copy()
+        at = np.tile(at, t1 - t0)
+        leaf = np.empty_like(node)
+        pending = np.arange(node.size)
         while True:
-            feat = feature[node]
-            rows = np.nonzero(feat >= 0)[0]
-            if rows.size == 0:
-                break
-            cur = node[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, left[cur], right[cur])
-        return self.value[node]
+            feat = self.feature[node]
+            done = feat < 0
+            if done.any():
+                leaf[pending[done]] = node[done]
+                keep = np.flatnonzero(~done)
+                if not keep.size:
+                    return leaf
+                # One at a time, so each old array is freed before the next copy.
+                pending = pending[keep]
+                node = node[keep]
+                off = off[keep]
+                at = at[keep]
+                feat = feat[keep]
+            # Values at or below the threshold go left; the right child
+            # is the node after the left one.
+            node = off + self.left[node] + (flat[at + feat] > self.threshold[node])
+
+
+def _predict_sum(packs, X, out):
+    """Add each tree's prediction for every row of X into ``out``, one tree after another."""
+    m, p = X.shape
+    flat = np.ascontiguousarray(X).ravel()
+    step = max(1, min(m, _WALK_PAIRS))
+    for r0 in range(0, m, step):
+        at = np.arange(r0, min(r0 + step, m)) * p
+        per = _WALK_PAIRS // at.size
+        for pack in packs:
+            n_trees = len(pack.trees)
+            for t0 in range(0, n_trees, per):
+                t1 = min(t0 + per, n_trees)
+                leaf = pack.leaves(flat, at, t0, t1)
+                for lo in range(0, leaf.size, at.size):
+                    out[r0:r0 + at.size] += pack.value[leaf[lo:lo + at.size]]
 
 
 def _segments(starts, sizes):
@@ -124,6 +203,11 @@ def _dense_ranks(X):
         ranks[f * n:(f + 1) * n] = inverse
         n_ranks = max(n_ranks, int(inverse.max()) + 1)
     return ranks, n_ranks
+
+
+def _bits(count):
+    """Bits that hold every value in [0, count)."""
+    return max(1, int(count - 1).bit_length())
 
 
 def _prefix_sums_by_node(y, offsets, sizes):
@@ -162,15 +246,17 @@ def _regression_scores(y, offsets, sizes, nl, n_rows):
     return score
 
 
-def _classification_scores(labels, offsets, sizes, nl, n_rows, n_classes):
+def _classification_scores(labels, weight, offsets, counts, nl, n_rows, n_classes):
     # sum_c count^2/n on each side; maximising it minimises the
     # weighted Gini impurity of the children.  Counts are kept
-    # class-major, one row per class.
-    cl = (labels == np.arange(n_classes)[:, None]).cumsum(axis=1, dtype=np.float64)
-    before = np.zeros((n_classes, sizes.size))
+    # class-major, one row per class, and are integers.
+    cl = np.empty((n_classes, labels.size))
+    np.multiply(labels == np.arange(n_classes)[:, None], weight, out=cl)
+    np.cumsum(cl, axis=1, out=cl)
+    before = np.zeros((n_classes, counts.size))
     before[:, 1:] = cl[:, offsets[1:] - 1]
-    cl -= before.repeat(sizes, axis=1)
-    cr = cl[:, offsets + sizes - 1].repeat(sizes, axis=1)
+    cl -= before.repeat(counts, axis=1)
+    cr = cl[:, offsets + counts - 1].repeat(counts, axis=1)
     cr -= cl
     cl *= cl
     cl /= nl
@@ -194,35 +280,46 @@ def _interleave(a, b):
 
 
 class _Group:
-    """Trees grown together in lock step, sharing one flat row buffer.
+    """Trees grown together in lock step, sharing one flat entry buffer.
 
-    Tree i owns entries [i*n, (i+1)*n) of ``order``, which start as its
-    bootstrap sample in position order.  A node is a range of ``order``
-    holding its rows in ascending bootstrap position; a split rearranges
-    the range stably into its left rows, then its right rows.  Only
-    nodes that need a split search are pushed on a tree's stack: a node
-    that is a leaf by depth, size or purity is recorded when it is
-    created, which draws nothing from the generator, exactly as popping
-    it and closing it would.
+    Tree i owns entries from i*n of ``order``, which start as its
+    bootstrap sample in position order (a classification tree's distinct
+    rows in row order, with their multiplicities in ``weight``).  A node
+    is a range of ``order`` holding its entries in that order; a split
+    rearranges the range stably into its left entries, then its right
+    entries.  Only nodes that need a split search are pushed on a tree's
+    stack: a node that is a leaf by depth, size or purity is recorded
+    when it is created, which draws nothing from the generator, exactly
+    as popping it and closing it would.
     """
 
     def __init__(self, X, target, ranks, n_ranks, trees, seed, bootstrap,
                  max_depth, min_leaf, n_classes):
         n = X.shape[0]
-        self.X, self.target, self.ranks, self.n_ranks = X, target, ranks, n_ranks
+        self.X, self.target, self.ranks = X, target, ranks
         self.max_depth, self.min_leaf, self.n_classes = max_depth, min_leaf, n_classes
         self.mtry = _default_mtry(X.shape[1])
         self.rngs = [stream(seed, t) for t in trees]
         g = len(self.rngs)
         self.order = np.empty(g * n, dtype=np.int32)
+        self.weight = None if n_classes is None else np.empty(g * n, dtype=np.int32)
+        # Sort keys: (item, rank, entry) as bit fields of one int64.
+        self.entry_bits = _bits(self.order.size)
+        self.key_bits = self.entry_bits + _bits(n_ranks)
+        count = np.full(g, n, dtype=np.int32)
         pure = np.empty(g, dtype=bool)
         for i, rng in enumerate(self.rngs):
             rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-            self.order[i * n:(i + 1) * n] = rows
+            if self.weight is not None:
+                times = np.bincount(rows, minlength=n)
+                rows = np.flatnonzero(times)
+                count[i] = rows.size
+                self.weight[i * n:i * n + rows.size] = times[rows]
+            self.order[i * n:i * n + rows.size] = rows
             pure[i] = target[rows].max() == target[rows].min()
-        # Per tree: a stack of (start, size, depth, node id) rows and its
-        # height, and the number of node ids handed out.
-        self.stack = np.empty((g, _STACK_HEIGHT, 4), dtype=np.int32)
+        # Per tree: a stack of (start, entries, size, depth, node id) rows
+        # and its height, and the number of node ids handed out.
+        self.stack = np.empty((g, _STACK_HEIGHT, 5), dtype=np.int32)
         self.height = np.zeros(g, dtype=np.intp)
         self.n_nodes = np.ones(g, dtype=np.int32)
         # Per tree: the first mtry candidates of its next _DRAW_BLOCK
@@ -232,32 +329,32 @@ class _Group:
         self.splits = []
         self.leaves = []
         tree = np.arange(g, dtype=np.int32)
-        self._place(tree, np.zeros_like(tree), tree * n, np.full_like(tree, n),
+        self._place(tree, np.zeros_like(tree), tree * n, count, np.full_like(tree, n),
                     np.zeros_like(tree), pure)
 
     def grow(self):
         while True:
             live = np.flatnonzero(self.height).astype(np.int32)
             if not live.size:
-                return self._trees()
+                return self._pack()
             self.height[live] -= 1
-            start, size, depth, node = self.stack[live, self.height[live]].T
+            start, count, size, depth, node = self.stack[live, self.height[live]].T
             # A round takes the next trees in order up to and including
-            # the one whose node brings its rows to _BATCH_ROWS.
-            rows = np.cumsum(size)
+            # the one whose node brings its entries to _BATCH_ROWS.
+            held = np.cumsum(count)
             lo = 0
             while lo < live.size:
-                hi = int(np.searchsorted(rows, (rows[lo - 1] if lo else 0) + _BATCH_ROWS)) + 1
+                hi = int(np.searchsorted(held, (held[lo - 1] if lo else 0) + _BATCH_ROWS)) + 1
                 at = slice(lo, hi)
-                self._round(live[at], start[at], size[at], depth[at], node[at])
+                self._round(live[at], start[at], count[at], size[at], depth[at], node[at])
                 lo = hi
 
-    def _place(self, tree, node, start, size, depth, pure):
+    def _place(self, tree, node, start, count, size, depth, pure):
         """Record the new nodes that are leaves; push the others on their trees' stacks."""
         leaf = pure | (size < 2 * self.min_leaf)
         if self.max_depth is not None:
             leaf |= depth >= self.max_depth
-        self.leaves.append(np.stack([tree[leaf], node[leaf], start[leaf], size[leaf]]))
+        self.leaves.append(np.stack([tree[leaf], node[leaf], start[leaf], count[leaf]]))
         pending = ~leaf
         tree = tree[pending]
         # A tree gets at most two new nodes at once, its left child then
@@ -266,10 +363,10 @@ class _Group:
         slot[1:] += tree[1:] == tree[:-1]
         if slot.size and slot.max() >= self.stack.shape[1]:
             self.stack = np.concatenate([self.stack, np.empty_like(self.stack)], axis=1)
-        self.stack[tree, slot] = np.stack([start, size, depth, node], axis=1)[pending]
+        self.stack[tree, slot] = np.stack([start, count, size, depth, node], axis=1)[pending]
         self.height += np.bincount(tree, minlength=self.height.size)
 
-    def _round(self, tree, start, size, depth, node):
+    def _round(self, tree, start, count, size, depth, node):
         """Split one node of each tree in ``tree``, or close it as a leaf."""
         # Each node's candidate features: rng.permutation(p)[:mtry], the
         # next draw of its tree's generator.  A tree's draws do not
@@ -281,48 +378,56 @@ class _Group:
         self.used[spent] = 0
         feats = self.draws[tree, self.used[tree]]
         self.used[tree] += 1
-        found, feat, thr = self._best_splits(start, size, feats)
+        found, feat, thr = self._best_splits(start, count, size, feats)
         closed = ~found
-        self.leaves.append(np.stack([tree[closed], node[closed], start[closed], size[closed]]))
+        self.leaves.append(np.stack([tree[closed], node[closed], start[closed], count[closed]]))
         if feat.size:
-            self._split(tree[found], start[found], size[found], depth[found], node[found], feat, thr)
+            self._split(tree[found], start[found], count[found], size[found], depth[found],
+                        node[found], feat, thr)
 
-    def _best_splits(self, start, size, feats):
+    def _best_splits(self, start, count, size, feats):
         """Whether each node has a valid boundary, and its best feature and threshold."""
+        n, p = self.X.shape
         mtry = feats.shape[1]
-        n_entries = self.order.size
         # Items are (node, candidate feature) pairs, node-major with the
-        # features in draw order.  A node's rows sit in position order in
-        # ``order``, so an entry's index there breaks ties of value.
+        # features in draw order.  A node's entries sit in position order
+        # in ``order``, so an entry's index there breaks ties of value.
         item_feat = feats.ravel()
-        item_size = size.repeat(mtry)
-        idx, offsets = _segments(start.repeat(mtry), item_size)
-        rank = self.ranks[(item_feat * self.X.shape[0]).repeat(item_size) + self.order[idx]]
-        item_key = (np.arange(item_size.size) * (self.n_ranks * n_entries)).repeat(item_size)
-        key = rank * np.int64(n_entries)
-        key += idx
-        key += item_key
+        item_count = count.repeat(mtry)
+        idx, offsets = _segments(start.repeat(mtry), item_count)
+        key = self.ranks[(item_feat * n).repeat(item_count) + self.order[idx]].astype(np.int64)
+        key <<= self.entry_bits
+        key |= idx
+        key |= (np.arange(item_count.size, dtype=np.int64) << self.key_bits).repeat(item_count)
         key.sort()
-        key -= item_key
-        rank, idx = np.divmod(key, n_entries)
+        idx = key & ((1 << self.entry_bits) - 1)
+        key >>= self.entry_bits
+        key &= (1 << (self.key_bits - self.entry_bits)) - 1
+        rank = key
         rows = self.order[idx]
         y = self.target[rows]
 
         pos = np.arange(y.size)
-        nl = pos - offsets.repeat(item_size) + 1
-        n_rows = item_size.repeat(item_size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.n_classes is None:
-                score = _regression_scores(y, offsets, item_size, nl, n_rows)
+            if self.weight is None:
+                nl = pos - offsets.repeat(item_count) + 1
+                n_rows = item_count.repeat(item_count)
+                score = _regression_scores(y, offsets, item_count, nl, n_rows)
             else:
-                score = _classification_scores(y, offsets, item_size, nl, n_rows, self.n_classes)
-        # The boundary after row nl needs min_leaf rows on each side and
+                # Left sizes: the weights' cumulative sum within each node.
+                weight = self.weight[idx]
+                nl = np.cumsum(weight)
+                nl -= (nl[offsets] - weight[offsets]).repeat(item_count)
+                n_rows = size.repeat(mtry).repeat(item_count)
+                score = _classification_scores(y, weight, offsets, item_count, nl, n_rows,
+                                               self.n_classes)
+        # The boundary after entry nl needs min_leaf rows on each side and
         # a change of feature value across it.
         valid = (nl >= self.min_leaf) & (nl <= n_rows - self.min_leaf)
         valid[:-1] &= rank[:-1] < rank[1:]
         score[~valid] = -np.inf
         best = np.maximum.reduceat(score, offsets)
-        at = np.minimum.reduceat(np.where(score == best.repeat(item_size), pos, y.size), offsets)
+        at = np.minimum.reduceat(np.where(score == best.repeat(item_count), pos, y.size), offsets)
         # The first feature in draw order with the best score wins.
         pick = np.argmax(best.reshape(-1, mtry), axis=1)
         item = np.arange(pick.size) * mtry + pick
@@ -335,15 +440,23 @@ class _Group:
         thr = 0.5 * (lo + hi)
         return found, feat, np.where(thr < hi, thr, lo)
 
-    def _split(self, tree, start, size, depth, node, feat, thr):
-        idx, offsets = _segments(start, size)
+    def _split(self, tree, start, count, size, depth, node, feat, thr):
+        idx, offsets = _segments(start, count)
         rows = self.order[idx]
-        go_left = self.X[rows, feat.repeat(size)] <= thr.repeat(size)
+        at = rows * np.intp(self.X.shape[1])
+        at += feat.repeat(count)
+        go_left = self.X.take(at) <= thr.repeat(count)
         # Small sort keys: numpy sorts 16-bit integers stably by radix.
-        side = (np.arange(size.size, dtype=np.int16) * 2).repeat(size) + ~go_left
-        rows = rows[np.argsort(side, kind="stable")]
+        side = (np.arange(count.size, dtype=np.int16) * 2).repeat(count) + ~go_left
+        moved = np.argsort(side, kind="stable")
+        rows = rows[moved]
         self.order[idx] = rows
         n_left = np.add.reduceat(go_left, offsets, dtype=np.int32)
+        size_left = n_left
+        if self.weight is not None:
+            weight = self.weight[idx]
+            size_left = np.add.reduceat(weight * go_left, offsets, dtype=np.int32)
+            self.weight[idx] = weight[moved]
         left = self.n_nodes[tree]
         self.n_nodes[tree] += 2
         self.splits.append((np.stack([tree, node, feat.astype(np.int32), left]), thr))
@@ -353,44 +466,49 @@ class _Group:
         child_offsets = np.minimum(_interleave(offsets, offsets + n_left), y.size - 1)
         pure = np.maximum.reduceat(y, child_offsets) == np.minimum.reduceat(y, child_offsets)
         self._place(tree.repeat(2), _interleave(left, left + 1), _interleave(start, start + n_left),
-                    _interleave(n_left, size - n_left), (depth + 1).repeat(2), pure)
+                    _interleave(n_left, count - n_left), _interleave(size_left, size - size_left),
+                    (depth + 1).repeat(2), pure)
 
-    def _leaf_values(self, start, size):
+    def _leaf_values(self, start, count):
         """Mean target (regression) or class frequencies of each leaf.
 
-        Leaves of one size are reduced together as the rows of a 2-d
-        array, which numpy sums exactly as it sums a single leaf.
+        Leaves of one entry count are reduced together as the rows of a
+        2-d array, which numpy sums exactly as it sums a single leaf.
+        Class counts are sums of integer weights, so they and their
+        total, the leaf's size, are exact.
         """
         k = self.n_classes
-        values = np.empty(size.size if k is None else (size.size, k))
-        by_size = np.argsort(size, kind="stable")
-        edges = np.flatnonzero(np.diff(size[by_size])) + 1
-        for group in np.split(by_size, edges):
-            s = int(size[group[0]])
+        values = np.empty(count.size if k is None else (count.size, k))
+        by_count = np.argsort(count, kind="stable")
+        edges = np.flatnonzero(np.diff(count[by_count])) + 1
+        for group in np.split(by_count, edges):
+            s = int(count[group[0]])
             step = max(1, _BATCH_ROWS // max(s, 1))
             for i in range(0, group.size, step):
                 sel = group[i:i + step]
-                y = self.target[self.order[(start[sel, None] + np.arange(s)).ravel()]]
-                y = y.reshape(sel.size, s)
+                entries = (start[sel, None] + np.arange(s)).ravel()
+                y = self.target[self.order[entries]].reshape(sel.size, s)
                 if k is None:
                     values[sel] = y.mean(axis=1)
                 else:
                     cell = np.arange(sel.size)[:, None] * k + y.astype(np.intp)
-                    values[sel] = np.bincount(cell.ravel(), minlength=sel.size * k).reshape(-1, k) / s
+                    counts = np.bincount(cell.ravel(), weights=self.weight[entries],
+                                         minlength=sel.size * k).reshape(-1, k)
+                    values[sel] = counts / counts.sum(axis=1, keepdims=True)
         if k is None and not np.all(np.isfinite(values)):
             raise NonFinite(_OVERFLOW)
         return values
 
-    def _trees(self):
+    def _pack(self):
         counts = self.n_nodes.astype(np.int64)
-        base = np.cumsum(counts) - counts
-        total = int(counts.sum())
-        tree, node, start, size = np.concatenate(self.leaves, axis=1)
+        base = np.r_[0, np.cumsum(counts)]
+        total = int(base[-1])
+        tree, node, start, count = np.concatenate(self.leaves, axis=1)
         leaf_at = base[tree] + node
-        leaf_values = self._leaf_values(start, size)
+        leaf_values = self._leaf_values(start, count)
         # The growth buffers are done with; release them before the
         # trees' own arrays are allocated.
-        self.order = self.leaves = None
+        self.order = self.weight = self.leaves = None
         feature = np.full(total, -1, dtype=np.int32)
         threshold = np.zeros(total)
         left = np.full(total, -1, dtype=np.int32)
@@ -404,28 +522,26 @@ class _Group:
             threshold[at] = np.concatenate([thr for _, thr in self.splits])
             left[at] = child
             right[at] = child + 1
-        return [
-            _Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
-            for a, b in zip(base.tolist(), (base + counts).tolist())
-        ]
+        return _Pack(feature, threshold, left, right, value, base)
 
 
 def _grow_forest(X, target, n_trees, seed, bootstrap, max_depth, min_leaf, n_classes=None):
     n, p = X.shape
+    X = np.ascontiguousarray(X)
     mtry = _default_mtry(p)
     ranks, n_ranks = _dense_ranks(X)
-    # A group of g trees keeps g * n row entries, indexed by int32, and
-    # packs (item, rank, entry) sort keys for at most g * mtry items
-    # into an int64.
+    # A group of g trees keeps g * n entries, indexed by int32, and packs
+    # (item, rank, entry) sort keys for at most g * mtry items into the
+    # bit fields of an int64.
     group = _GROUP_TREES
-    while group > 1 and (group * n >= 2**31 or group * mtry * n_ranks * group * n >= 2**63):
+    while group > 1 and (group * n >= 2**31
+                         or _bits(group * mtry) + _bits(n_ranks) + _bits(group * n) > 63):
         group //= 2
-    trees = []
-    for first in range(0, n_trees, group):
-        members = range(first, min(first + group, n_trees))
-        trees.extend(_Group(X, target, ranks, n_ranks, members, seed, bootstrap,
-                            max_depth, min_leaf, n_classes).grow())
-    return trees
+    return [
+        _Group(X, target, ranks, n_ranks, range(first, min(first + group, n_trees)), seed,
+               bootstrap, max_depth, min_leaf, n_classes).grow()
+        for first in range(0, n_trees, group)
+    ]
 
 
 def _default_mtry(p: int) -> int:
@@ -433,34 +549,36 @@ def _default_mtry(p: int) -> int:
 
 
 @dataclass
-class ForestRegressorFit:
-    trees: list
+class _ForestFit:
+    packs: list
     p: int
 
-    def predict(self, X) -> np.ndarray:
+    @property
+    def trees(self) -> list:
+        return [tree for pack in self.packs for tree in pack.trees]
+
+    def _mean(self, X, shape) -> np.ndarray:
         X = validate_features(X, p=self.p)
-        if not self.trees:
+        if not self.packs:
             raise ShapeMismatch("forest has no trees")
-        out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.predict(X)
-        return out / len(self.trees)
+        out = np.zeros((X.shape[0], *shape))
+        _predict_sum(self.packs, X, out)
+        out /= sum(len(pack.trees) for pack in self.packs)
+        return out
 
 
 @dataclass
-class ForestClassifierFit:
-    trees: list
-    p: int
+class ForestRegressorFit(_ForestFit):
+    def predict(self, X) -> np.ndarray:
+        return self._mean(X, ())
+
+
+@dataclass
+class ForestClassifierFit(_ForestFit):
     n_classes: int
 
     def predict_proba(self, X) -> np.ndarray:
-        X = validate_features(X, p=self.p)
-        if not self.trees:
-            raise ShapeMismatch("forest has no trees")
-        out = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            out += tree.predict(X)
-        return out / len(self.trees)
+        return self._mean(X, (self.n_classes,))
 
 
 def fit_forest_regressor(
@@ -480,8 +598,8 @@ def fit_forest_regressor(
         raise NonFinite("y contains non-finite values")
     if n_trees < 1 or min_leaf < 1:
         raise InvalidArgument("n_trees and min_leaf must be >= 1")
-    trees = _grow_forest(X, y, n_trees, seed, bootstrap, max_depth, min_leaf)
-    return ForestRegressorFit(trees=trees, p=X.shape[1])
+    packs = _grow_forest(X, y, n_trees, seed, bootstrap, max_depth, min_leaf)
+    return ForestRegressorFit(packs=packs, p=X.shape[1])
 
 
 def fit_forest_classifier(
@@ -502,6 +620,6 @@ def fit_forest_classifier(
     k = class_count(labels, n_classes)
     if n_trees < 1 or min_leaf < 1:
         raise InvalidArgument("n_trees and min_leaf must be >= 1")
-    trees = _grow_forest(X, labels.astype(float), n_trees, seed, bootstrap, max_depth,
+    packs = _grow_forest(X, labels.astype(float), n_trees, seed, bootstrap, max_depth,
                          min_leaf, n_classes=k)
-    return ForestClassifierFit(trees=trees, p=X.shape[1], n_classes=k)
+    return ForestClassifierFit(packs=packs, p=X.shape[1], n_classes=k)

@@ -422,14 +422,6 @@ class SweepReport:
 
     rows: list = field(default_factory=list)
 
-    def rel_errors(self, grid_value, learner: str, estimator: str) -> np.ndarray:
-        out = [
-            r.rel_error
-            for r in self.rows
-            if r.grid_value == grid_value and r.learner == learner and r.estimator == estimator
-        ]
-        return np.asarray(out)
-
     def aggregate(self, filter_infinite: bool = False) -> list:
         """Mean and median relative error per (grid value, learner, estimator).
 

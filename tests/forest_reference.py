@@ -1,10 +1,14 @@
-"""Reference CART grower that the forest tests compare against.
+"""Reference CART grower and tree walk that the forest tests compare against.
 
-This is the node-by-node grower the package used before trees were
-grown in lock step: one tree at a time, one node at a time, depth first
-with the right child popped first, and a stable ``argsort`` per node
-and candidate feature.  It is slow and kept only as the oracle: the
-package's forests must reproduce its trees bit for bit.
+The grower is the node-by-node grower the package used before trees
+were grown in lock step: one tree at a time, one node at a time, depth
+first with the right child popped first, on every row of the bootstrap
+sample, and a stable ``argsort`` per node and candidate feature.  The
+walk is the one the package used before forests were predicted in one
+packed walk: one tree at a time, each node read through its ``left``
+and ``right`` links.  Both are slow and kept only as oracles: the
+package's forests must reproduce their trees and predictions bit for
+bit.
 """
 
 from __future__ import annotations
@@ -154,3 +158,25 @@ def reference_trees(X, target, n_classes=None, n_trees=100, max_depth=10, min_le
         return _grow_tree(Xb, yb, rng, max_depth, min_leaf, mtry, leaf_value, is_pure, split_score)
 
     return _bootstrap_trees(X, target, n_trees, seed, grow, bootstrap)
+
+
+def tree_predict(tree, X):
+    """Leaf values of one tree for every row of ``X``."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    while True:
+        feat = tree.feature[node]
+        rows = np.nonzero(feat >= 0)[0]
+        if rows.size == 0:
+            break
+        cur = node[rows]
+        go_left = X[rows, feat[rows]] <= tree.threshold[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
+def reference_predict(trees, X):
+    """The forest's mean prediction: each tree's leaf values added in tree order."""
+    out = np.zeros((X.shape[0], *trees[0].value.shape[1:]))
+    for tree in trees:
+        out += tree_predict(tree, X)
+    return out / len(trees)

@@ -176,3 +176,68 @@ def test_a_malformed_run_is_kept_in_its_run_entry(tmp_path, monkeypatch, capsys)
     assert by_side["change"]["result"] == {"correct": False}
     assert by_side["parent"]["exit_code"] == 0 and "last_stdout_line" not in by_side["parent"]
     assert "boom on stderr" in capsys.readouterr().err
+
+
+def metric_runs(name, parent, change):
+    """Pairs whose ``name`` metric takes the given values; the other metrics tie."""
+    runs = runs_of([1.0] * len(parent), [1.0] * len(change))
+    for run, value in zip(runs, [v for pair in zip(parent, change) for v in pair]):
+        run["result"]["metrics"][name]["value"] = value
+    return runs
+
+
+def test_bounds_come_from_the_benchmark_file(tmp_path):
+    assert bench_pairs.load_bounds() == {"wall_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.05}
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [{"name": "wall_s", "bound": 0.1}]}))
+    assert bench_pairs.load_bounds(path) == {"wall_s": 0.1}
+
+
+def test_regression_worse_like_a_setup_time_past_its_bound():
+    # verify setup_s from 0.251 to 0.328 s: +31% against a bound of 25%.
+    parent = [0.247, 0.249, 0.251, 0.252, 0.256]
+    change = [0.321, 0.326, 0.328, 0.331, 0.335]
+    setup = bench_pairs.summarize(metric_runs("setup_s", parent, change))["metrics"]["setup_s"]
+    r = setup["regression"]
+    assert r["bound"] == 0.25 and r["limit"] == pytest.approx(0.251 * 1.25)
+    assert r["verdict"] == "worse"
+    assert setup["verdict"]["gain"] is False
+
+
+def test_regression_ok_inside_the_bound():
+    parent = [2.0, 2.05, 2.1, 2.15, 2.2]
+    change = [p + 0.3 for p in parent]
+    wall = bench_pairs.summarize(runs_of(parent, change))["metrics"]["wall_s"]
+    assert wall["wins"]["parent"] == 5
+    assert wall["regression"]["verdict"] == "ok"
+
+
+def test_regression_uses_each_metrics_own_bound():
+    # +4% of peak RSS is inside its 5% bound, +6% is past it.
+    parent = [49.3] * 5
+    for factor, expected in ((1.04, "ok"), (1.06, "worse")):
+        runs = metric_runs("peak_rss_mb", parent, [49.3 * factor] * 5)
+        rss = bench_pairs.summarize(runs)["metrics"]["peak_rss_mb"]
+        assert rss["regression"]["verdict"] == expected
+
+
+def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # The parent's IQR (2.0) is wider than 25% of its median (0.5).
+    parent = [1.0, 3.0, 1.0, 3.0, 2.0]
+    change = [1.5, 2.5, 1.5, 2.5, 2.0]
+    r = bench_pairs.summarize(runs_of(parent, change))["metrics"]["wall_s"]["regression"]
+    assert r["parent_iqr"] == pytest.approx(2.0) and r["verdict"] == "unresolved"
+
+
+def test_regression_ok_when_every_change_run_beats_every_parent_run():
+    parent = [2.0, 4.0, 2.0, 4.0, 3.0]
+    change = [1.0, 1.5, 1.2, 1.9, 1.1]
+    r = bench_pairs.summarize(runs_of(parent, change))["metrics"]["wall_s"]["regression"]
+    assert r["parent_iqr"] > 0.25 * 3.0 and r["verdict"] == "ok"
+
+
+def test_regression_without_values_is_unresolved():
+    runs = runs_of([3.0], [2.0])
+    runs[1]["result"] = {"correct": False}
+    r = bench_pairs.summarize(runs)["metrics"]["wall_s"]["regression"]
+    assert r["verdict"] == "unresolved" and r["limit"] is None

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoate import fit_forest_classifier, fit_forest_regressor
-from orthoate.learners.forest import _DRAW_BLOCK, _GROUP_TREES, _STACK_HEIGHT
+from orthoate.learners.forest import _DRAW_BLOCK, _GROUP_TREES, _STACK_HEIGHT, _WALK_PAIRS
 
-from forest_reference import reference_trees
+from forest_reference import reference_predict, reference_trees
 
 
 def assert_same_trees(got, want):
@@ -63,8 +63,31 @@ def forest_problems(draw):
     return X, target, n_classes, params
 
 
-@settings(max_examples=150, deadline=None)
-@given(forest_problems())
+@st.composite
+def repeated_row_problems(draw):
+    # Classification on bootstrap samples of at least 64 rows, where rows
+    # repeat (the grower keeps them once, weighted by their count), with
+    # features of two or three values, so nearly every value is tied.
+    n = draw(st.integers(64, 200))
+    p = draw(st.integers(1, 3))
+    values = draw(st.sampled_from([[0.0, 1.0], [-1.0, 0.0, 2.5]]))
+    X = np.array(draw(st.lists(st.sampled_from(values), min_size=n * p,
+                               max_size=n * p))).reshape(n, p)
+    n_classes = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    labels[:n_classes] = range(n_classes)
+    params = dict(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),
+        min_leaf=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        bootstrap=True,
+    )
+    return X, np.array(labels), n_classes, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(forest_problems(), repeated_row_problems()))
 def test_trees_equal_reference(problem):
     X, target, n_classes, params = problem
     if n_classes is None:
@@ -162,3 +185,47 @@ def test_single_feature_forest():
     params = dict(n_trees=5, max_depth=None, min_leaf=2, seed=9, bootstrap=True)
     fit = fit_forest_classifier(X, d, n_classes=2, **params)
     assert_same_trees(fit.trees, reference_trees(X, d.astype(float), n_classes=2, **params))
+
+
+
+@pytest.fixture(scope="module")
+def deep_forests():
+    # Unbounded depth and single-row leaves: walks of very unequal length.
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(400, 3))
+    y = X[:, 0] * X[:, 1] + rng.normal(size=400)
+    d = (X[:, 2] + rng.normal(size=400) > 0).astype(int) + (X[:, 0] > 0.5)
+    params = dict(n_trees=7, max_depth=None, min_leaf=1, seed=5)
+    return {
+        "regression": fit_forest_regressor(X, y, **params),
+        "classification": fit_forest_classifier(X, d, n_classes=3, **params),
+    }
+
+
+def _prediction(fit, X):
+    return fit.predict_proba(X) if hasattr(fit, "predict_proba") else fit.predict(X)
+
+
+def assert_same_prediction(fit, X):
+    got = _prediction(fit, X)
+    want = reference_predict(fit.trees, X)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("rows", [0, 1, 400, _WALK_PAIRS // 3, _WALK_PAIRS + 7])
+def test_packed_walk_equals_per_tree_walk(deep_forests, kind, rows):
+    # 1 and 400 rows walk every tree in one chunk; a third of a chunk
+    # walks the 7 trees in chunks of 3, 3 and 1; more rows than a chunk
+    # walk one tree at a time over two row chunks.
+    X = np.random.default_rng(rows).normal(size=(rows, 3)) * 1.5
+    assert_same_prediction(deep_forests[kind], X)
+
+
+def test_packed_walk_of_a_forest_of_several_groups():
+    rng = np.random.default_rng(8)
+    X = np.round(rng.normal(size=(80, 2)), 1)
+    d = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
+    fit = fit_forest_classifier(X, d, n_classes=2, n_trees=_GROUP_TREES + 3, min_leaf=1, seed=4)
+    assert_same_prediction(fit, np.round(rng.normal(size=(200, 2)), 1))

@@ -66,3 +66,29 @@ def test_fit_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak - _fit_bytes(fit) < 2 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_prediction_working_memory_is_bounded(kind):
+    # Memory a prediction needs besides the array it returns.  The
+    # packed walk holds at most 16,384 of the 2,000,000 (tree, row) pairs
+    # at once and needs about 1.5 MiB here; without that cap its arrays
+    # would grow with the query.
+    rng = np.random.default_rng(102)
+    n = 2240
+    X = rng.normal(size=(n, 2))
+    d = np.r_[0, 1, 2, rng.integers(0, 3, size=n - 3)]
+    if kind == "regression":
+        fit = fit_forest_regressor(X, X[:, 0] + rng.normal(size=n), n_trees=100, seed=3)
+        predict = fit.predict
+    else:
+        fit = fit_forest_classifier(X, d, n_classes=3, n_trees=100, seed=3)
+        predict = fit.predict_proba
+    query = rng.normal(size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        out = predict(query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 * 2**20

@@ -247,7 +247,9 @@ class TestSweep:
         assert len(small_report.rows) == 8
 
     def test_rel_errors_finite(self, small_report):
-        errs = small_report.rel_errors(300, "lasso+logistic", "dr")
+        errs = np.array([r.rel_error for r in small_report.rows
+                         if r.grid_value == 300 and r.learner == "lasso+logistic"
+                         and r.estimator == "dr"])
         assert errs.shape == (2,)
         assert np.all(np.isfinite(errs))
 
