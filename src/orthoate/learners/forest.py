@@ -187,16 +187,10 @@ def _predict_sum(packs, X, out):
                     out[r0:r0 + at.size] += pack.value[leaf[lo:lo + at.size]]
 
 
-def _segments(starts, sizes):
-    """Flat indices of the ranges [start, start + size), in order, and each range's offset."""
-    offsets = np.cumsum(sizes) - sizes
-    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), offsets
-
-
 def _dense_ranks(X):
     """Rank of each value within its feature (ties share a rank), feature-major."""
     n, p = X.shape
-    ranks = np.empty(p * n, dtype=np.int32)
+    ranks = np.empty(p * n, dtype=np.int64)
     n_ranks = 1
     for f in range(p):
         _, inverse = np.unique(X[:, f], return_inverse=True)
@@ -210,34 +204,35 @@ def _bits(count):
     return max(1, int(count - 1).bit_length())
 
 
-def _prefix_sums_by_node(y, offsets, sizes):
+def _prefix_sums_by_node(y, offsets, sizes, pos):
     """Prefix sums of y restarting from zero at each node, accumulated sequentially.
 
     Each node is padded into a row of width 2**e, the smallest power of
     two not below its size; the rows of one width form a 2-d block whose
-    cumsum runs along the rows.
+    cumsum runs along the rows.  ``pos`` is ``arange(y.size)``.
     """
     width = 1 << np.frexp(sizes - 1)[1]
     by_width = np.argsort(width, kind="stable")
-    row_start = np.empty_like(width)
-    row_start[by_width] = np.cumsum(width[by_width]) - width[by_width]
-    pad = np.zeros(int(width.sum()))
-    dest = np.arange(y.size) + np.repeat(row_start - offsets, sizes)
-    pad[dest] = y
     w = width[by_width]
-    edges = np.r_[0, np.flatnonzero(np.diff(w)) + 1, w.size]
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        first = row_start[by_width[lo]]
-        block = pad[first:first + (hi - lo) * w[lo]].reshape(hi - lo, w[lo])
+    first = np.cumsum(w) - w
+    row_start = np.empty_like(width)
+    row_start[by_width] = first
+    pad = np.zeros(int(first[-1] + w[-1]))
+    dest = pos + (row_start - offsets).repeat(sizes)
+    pad[dest] = y
+    edges = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), w.size]
+    w, first = w.tolist(), first.tolist()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = pad[first[lo]:first[lo] + (hi - lo) * w[lo]].reshape(hi - lo, w[lo])
         np.cumsum(block, axis=1, out=block)
     return pad[dest]
 
 
-def _regression_scores(y, offsets, sizes, nl, n_rows):
+def _regression_scores(y, offsets, sizes, nl, n_rows, pos):
     # sum_L^2/n_L + sum_R^2/n_R at every boundary; maximising it
     # maximises the variance reduction of the split.
-    sl = _prefix_sums_by_node(y, offsets, sizes)
-    total = np.repeat(sl[offsets + sizes - 1], sizes)
+    sl = _prefix_sums_by_node(y, offsets, sizes, pos)
+    total = sl[offsets + sizes - 1].repeat(sizes)
     score = sl * sl / nl + (total - sl) ** 2 / (n_rows - nl)
     # The last row of a node ends no boundary and scores 0/0; every
     # other score is finite unless the sums overflowed.
@@ -246,17 +241,20 @@ def _regression_scores(y, offsets, sizes, nl, n_rows):
     return score
 
 
-def _classification_scores(labels, weight, offsets, counts, nl, n_rows, n_classes):
+def _classification_scores(labels, weight, offsets, counts, n_rows, n_classes):
+    """Score of the boundary after every entry, and the rows left of it."""
     # sum_c count^2/n on each side; maximising it minimises the
     # weighted Gini impurity of the children.  Counts are kept
     # class-major, one row per class, and are integers.
     cl = np.empty((n_classes, labels.size))
     np.multiply(labels == np.arange(n_classes)[:, None], weight, out=cl)
+    total = np.add.reduceat(cl, offsets, axis=1)
+    # Each node's running counts restart from zero: its first entry also
+    # takes away the counts of the node before it.
+    cl[:, offsets[1:]] -= total[:, :-1]
     np.cumsum(cl, axis=1, out=cl)
-    before = np.zeros((n_classes, counts.size))
-    before[:, 1:] = cl[:, offsets[1:] - 1]
-    cl -= before.repeat(counts, axis=1)
-    cr = cl[:, offsets + counts - 1].repeat(counts, axis=1)
+    nl = cl.sum(axis=0)
+    cr = total.repeat(counts, axis=1)
     cr -= cl
     cl *= cl
     cl /= nl
@@ -267,16 +265,13 @@ def _classification_scores(labels, weight, offsets, counts, nl, n_rows, n_classe
     # the class rows in order reproduces; longer rows it sums pairwise,
     # so those are summed as rows.
     if n_classes < 8:
-        return cl.sum(axis=0) + cr.sum(axis=0)
-    return np.ascontiguousarray(cl.T).sum(axis=1) + np.ascontiguousarray(cr.T).sum(axis=1)
+        return cl.sum(axis=0) + cr.sum(axis=0), nl
+    return np.ascontiguousarray(cl.T).sum(axis=1) + np.ascontiguousarray(cr.T).sum(axis=1), nl
 
 
-def _interleave(a, b):
-    """[a0, b0, a1, b1, ...]: each split's left child, then its right child."""
-    out = np.empty(2 * a.size, dtype=np.result_type(a, b))
-    out[0::2] = a
-    out[1::2] = b
-    return out
+# The rows of a node record: its tree, node id, first entry in ``order``,
+# entries, rows (entries weighted by multiplicity) and depth.
+_TREE, _NODE, _START, _COUNT, _SIZE, _DEPTH = range(6)
 
 
 class _Group:
@@ -287,39 +282,43 @@ class _Group:
     rows in row order, with their multiplicities in ``weight``).  A node
     is a range of ``order`` holding its entries in that order; a split
     rearranges the range stably into its left entries, then its right
-    entries.  Only nodes that need a split search are pushed on a tree's
-    stack: a node that is a leaf by depth, size or purity is recorded
-    when it is created, which draws nothing from the generator, exactly
-    as popping it and closing it would.
+    entries.  Nodes travel as int32 records, one column per node (see
+    ``_TREE``).  Only nodes that need a split search are pushed on a
+    tree's stack: a node that is a leaf by depth, size or purity is
+    recorded when it is created, which draws nothing from the generator,
+    exactly as popping it and closing it would.
     """
 
-    def __init__(self, X, target, ranks, n_ranks, trees, seed, bootstrap,
+    def __init__(self, X, target, rank_keys, entry_bits, item_shift, trees, seed, bootstrap,
                  max_depth, min_leaf, n_classes):
         n = X.shape[0]
-        self.X, self.target, self.ranks = X, target, ranks
+        self.X, self.target = X, target
+        # Sort keys are (item, rank, entry) bit fields of one int64; the
+        # rank field of every row and feature is stored ready shifted.
+        self.rank_keys, self.entry_bits, self.item_shift = rank_keys, entry_bits, item_shift
         self.max_depth, self.min_leaf, self.n_classes = max_depth, min_leaf, n_classes
         self.mtry = _default_mtry(X.shape[1])
         self.rngs = [stream(seed, t) for t in trees]
         g = len(self.rngs)
         self.order = np.empty(g * n, dtype=np.int32)
         self.weight = None if n_classes is None else np.empty(g * n, dtype=np.int32)
-        # Sort keys: (item, rank, entry) as bit fields of one int64.
-        self.entry_bits = _bits(self.order.size)
-        self.key_bits = self.entry_bits + _bits(n_ranks)
-        count = np.full(g, n, dtype=np.int32)
+        roots = np.zeros((6, g), dtype=np.int32)
+        roots[_TREE] = np.arange(g)
+        roots[_START] = roots[_TREE] * n
+        roots[_COUNT] = roots[_SIZE] = n
         pure = np.empty(g, dtype=bool)
         for i, rng in enumerate(self.rngs):
             rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
             if self.weight is not None:
                 times = np.bincount(rows, minlength=n)
                 rows = np.flatnonzero(times)
-                count[i] = rows.size
+                roots[_COUNT, i] = rows.size
                 self.weight[i * n:i * n + rows.size] = times[rows]
             self.order[i * n:i * n + rows.size] = rows
             pure[i] = target[rows].max() == target[rows].min()
-        # Per tree: a stack of (start, entries, size, depth, node id) rows
-        # and its height, and the number of node ids handed out.
-        self.stack = np.empty((g, _STACK_HEIGHT, 5), dtype=np.int32)
+        # Per tree: a stack of node records and its height, and the number
+        # of node ids handed out.
+        self.stack = np.empty((g, _STACK_HEIGHT, 6), dtype=np.int32)
         self.height = np.zeros(g, dtype=np.intp)
         self.n_nodes = np.ones(g, dtype=np.int32)
         # Per tree: the first mtry candidates of its next _DRAW_BLOCK
@@ -328,49 +327,47 @@ class _Group:
         self.used = np.full(g, _DRAW_BLOCK)
         self.splits = []
         self.leaves = []
-        tree = np.arange(g, dtype=np.int32)
-        self._place(tree, np.zeros_like(tree), tree * n, count, np.full_like(tree, n),
-                    np.zeros_like(tree), pure)
+        self._place(roots, pure)
 
     def grow(self):
         while True:
-            live = np.flatnonzero(self.height).astype(np.int32)
+            live = np.flatnonzero(self.height)
             if not live.size:
                 return self._pack()
             self.height[live] -= 1
-            start, count, size, depth, node = self.stack[live, self.height[live]].T
+            nodes = self.stack[live, self.height[live]].T
             # A round takes the next trees in order up to and including
             # the one whose node brings its entries to _BATCH_ROWS.
-            held = np.cumsum(count)
+            held = np.cumsum(nodes[_COUNT])
             lo = 0
             while lo < live.size:
                 hi = int(np.searchsorted(held, (held[lo - 1] if lo else 0) + _BATCH_ROWS)) + 1
-                at = slice(lo, hi)
-                self._round(live[at], start[at], count[at], size[at], depth[at], node[at])
+                self._round(nodes[:, lo:hi])
                 lo = hi
 
-    def _place(self, tree, node, start, count, size, depth, pure):
+    def _place(self, nodes, pure):
         """Record the new nodes that are leaves; push the others on their trees' stacks."""
-        leaf = pure | (size < 2 * self.min_leaf)
+        leaf = pure | (nodes[_SIZE] < 2 * self.min_leaf)
         if self.max_depth is not None:
-            leaf |= depth >= self.max_depth
-        self.leaves.append(np.stack([tree[leaf], node[leaf], start[leaf], count[leaf]]))
-        pending = ~leaf
-        tree = tree[pending]
+            leaf |= nodes[_DEPTH] >= self.max_depth
+        self.leaves.append(nodes[:_SIZE, leaf])
+        nodes = nodes[:, ~leaf]
+        tree = nodes[_TREE]
         # A tree gets at most two new nodes at once, its left child then
         # its right child, which lands on top and is popped first.
         slot = self.height[tree]
         slot[1:] += tree[1:] == tree[:-1]
         if slot.size and slot.max() >= self.stack.shape[1]:
             self.stack = np.concatenate([self.stack, np.empty_like(self.stack)], axis=1)
-        self.stack[tree, slot] = np.stack([start, count, size, depth, node], axis=1)[pending]
+        self.stack[tree, slot] = nodes.T
         self.height += np.bincount(tree, minlength=self.height.size)
 
-    def _round(self, tree, start, count, size, depth, node):
-        """Split one node of each tree in ``tree``, or close it as a leaf."""
+    def _round(self, nodes):
+        """Split one node of each tree in the round, or close it as a leaf."""
         # Each node's candidate features: rng.permutation(p)[:mtry], the
         # next draw of its tree's generator.  A tree's draws do not
         # depend on its data, so they are taken _DRAW_BLOCK at a time.
+        tree = nodes[_TREE]
         spent = tree[self.used[tree] == _DRAW_BLOCK]
         for t in spent.tolist():
             block = np.tile(np.arange(self.X.shape[1]), (_DRAW_BLOCK, 1))
@@ -378,56 +375,54 @@ class _Group:
         self.used[spent] = 0
         feats = self.draws[tree, self.used[tree]]
         self.used[tree] += 1
-        found, feat, thr = self._best_splits(start, count, size, feats)
-        closed = ~found
-        self.leaves.append(np.stack([tree[closed], node[closed], start[closed], count[closed]]))
+        found, feat, thr = self._best_splits(nodes[_START], nodes[_COUNT], nodes[_SIZE], feats)
+        self.leaves.append(nodes[:_SIZE, ~found])
         if feat.size:
-            self._split(tree[found], start[found], count[found], size[found], depth[found],
-                        node[found], feat, thr)
+            self._split(nodes[:, found], feat, thr)
 
     def _best_splits(self, start, count, size, feats):
         """Whether each node has a valid boundary, and its best feature and threshold."""
-        n, p = self.X.shape
         mtry = feats.shape[1]
         # Items are (node, candidate feature) pairs, node-major with the
         # features in draw order.  A node's entries sit in position order
         # in ``order``, so an entry's index there breaks ties of value.
         item_feat = feats.ravel()
         item_count = count.repeat(mtry)
-        idx, offsets = _segments(start.repeat(mtry), item_count)
-        key = self.ranks[(item_feat * n).repeat(item_count) + self.order[idx]].astype(np.int64)
-        key <<= self.entry_bits
+        offsets = np.cumsum(item_count) - item_count
+        pos = np.arange(int(offsets[-1] + item_count[-1]))
+        within = pos - offsets.repeat(item_count)
+        idx = within + start.repeat(mtry).repeat(item_count)
+        key = self.rank_keys[(item_feat * self.X.shape[0]).repeat(item_count) + self.order[idx]]
         key |= idx
-        key |= (np.arange(item_count.size, dtype=np.int64) << self.key_bits).repeat(item_count)
+        key |= (np.arange(item_count.size, dtype=np.int64) << self.item_shift).repeat(item_count)
+        # Sorting keeps each item's entries in its own range, ordered by
+        # (value, position).
         key.sort()
         idx = key & ((1 << self.entry_bits) - 1)
+        # What is left, (item, rank), changes where the feature value does.
         key >>= self.entry_bits
-        key &= (1 << (self.key_bits - self.entry_bits)) - 1
-        rank = key
         rows = self.order[idx]
         y = self.target[rows]
 
-        pos = np.arange(y.size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Left sizes are whole numbers, held as floats for the scores.
             if self.weight is None:
-                nl = pos - offsets.repeat(item_count) + 1
+                nl = within + 1.0
                 n_rows = item_count.repeat(item_count)
-                score = _regression_scores(y, offsets, item_count, nl, n_rows)
+                score = _regression_scores(y, offsets, item_count, nl, n_rows, pos)
             else:
-                # Left sizes: the weights' cumulative sum within each node.
-                weight = self.weight[idx]
-                nl = np.cumsum(weight)
-                nl -= (nl[offsets] - weight[offsets]).repeat(item_count)
                 n_rows = size.repeat(mtry).repeat(item_count)
-                score = _classification_scores(y, weight, offsets, item_count, nl, n_rows,
-                                               self.n_classes)
+                score, nl = _classification_scores(y, self.weight[idx], offsets, item_count,
+                                                   n_rows, self.n_classes)
         # The boundary after entry nl needs min_leaf rows on each side and
         # a change of feature value across it.
-        valid = (nl >= self.min_leaf) & (nl <= n_rows - self.min_leaf)
-        valid[:-1] &= rank[:-1] < rank[1:]
-        score[~valid] = -np.inf
+        invalid = (nl < self.min_leaf) | (nl > n_rows - self.min_leaf)
+        invalid[:-1] |= key[:-1] == key[1:]
+        score[invalid] = -np.inf
         best = np.maximum.reduceat(score, offsets)
-        at = np.minimum.reduceat(np.where(score == best.repeat(item_count), pos, y.size), offsets)
+        # The first boundary with its item's best score.
+        hits = np.flatnonzero(score == best.repeat(item_count))
+        at = hits[np.searchsorted(hits, offsets)]
         # The first feature in draw order with the best score wins.
         pick = np.argmax(best.reshape(-1, mtry), axis=1)
         item = np.arange(pick.size) * mtry + pick
@@ -440,8 +435,10 @@ class _Group:
         thr = 0.5 * (lo + hi)
         return found, feat, np.where(thr < hi, thr, lo)
 
-    def _split(self, tree, start, count, size, depth, node, feat, thr):
-        idx, offsets = _segments(start, count)
+    def _split(self, nodes, feat, thr):
+        count = nodes[_COUNT]
+        offsets = np.cumsum(count) - count
+        idx = np.arange(int(offsets[-1] + count[-1])) + (nodes[_START] - offsets).repeat(count)
         rows = self.order[idx]
         at = rows * np.intp(self.X.shape[1])
         at += feat.repeat(count)
@@ -457,17 +454,28 @@ class _Group:
             weight = self.weight[idx]
             size_left = np.add.reduceat(weight * go_left, offsets, dtype=np.int32)
             self.weight[idx] = weight[moved]
+        tree = nodes[_TREE]
         left = self.n_nodes[tree]
         self.n_nodes[tree] += 2
-        self.splits.append((np.stack([tree, node, feat.astype(np.int32), left]), thr))
+        self.splits.append((np.array([tree, nodes[_NODE], feat, left], dtype=np.int32), thr))
+        # Each split's left child, then its right child.
+        kids = nodes.repeat(2, axis=1)
+        kids[_NODE, 0::2] = left
+        kids[_NODE, 1::2] = left + 1
+        kids[_START, 1::2] += n_left
+        kids[_COUNT, 0::2] = n_left
+        kids[_COUNT, 1::2] -= n_left
+        kids[_SIZE, 0::2] = size_left
+        kids[_SIZE, 1::2] -= size_left
+        kids[_DEPTH] += 1
         # The children's purity, from their targets; a child without
         # rows is a leaf by size, so its reduction is never read.
         y = self.target[rows]
-        child_offsets = np.minimum(_interleave(offsets, offsets + n_left), y.size - 1)
+        child_offsets = offsets.repeat(2)
+        child_offsets[1::2] += n_left
+        np.minimum(child_offsets, y.size - 1, out=child_offsets)
         pure = np.maximum.reduceat(y, child_offsets) == np.minimum.reduceat(y, child_offsets)
-        self._place(tree.repeat(2), _interleave(left, left + 1), _interleave(start, start + n_left),
-                    _interleave(n_left, count - n_left), _interleave(size_left, size - size_left),
-                    (depth + 1).repeat(2), pure)
+        self._place(kids, pure)
 
     def _leaf_values(self, start, count):
         """Mean target (regression) or class frequencies of each leaf.
@@ -537,9 +545,12 @@ def _grow_forest(X, target, n_trees, seed, bootstrap, max_depth, min_leaf, n_cla
     while group > 1 and (group * n >= 2**31
                          or _bits(group * mtry) + _bits(n_ranks) + _bits(group * n) > 63):
         group //= 2
+    entry_bits = _bits(group * n)
+    ranks <<= entry_bits
     return [
-        _Group(X, target, ranks, n_ranks, range(first, min(first + group, n_trees)), seed,
-               bootstrap, max_depth, min_leaf, n_classes).grow()
+        _Group(X, target, ranks, entry_bits, entry_bits + _bits(n_ranks),
+               range(first, min(first + group, n_trees)), seed, bootstrap, max_depth, min_leaf,
+               n_classes).grow()
         for first in range(0, n_trees, group)
     ]
 
