@@ -27,9 +27,9 @@ draws does not depend on the data.  It is taken ``_DRAW_BLOCK`` draws
 at a time with one ``rng.permuted`` call, which gives the same
 permutations as successive shuffles, and only the first ``mtry``
 entries of each are kept.  The stacks of a group are one int32 array
-of shape (trees, height, 5), each entry a node's (start, entries, size,
-depth, node id), and a height per tree; the array doubles in height
-when a tree outgrows it.
+of shape (trees, height, 6), each entry a node record (tree, node id,
+first entry, entries, size, depth), and a height per tree; the array
+doubles in height when a tree outgrows it.
 
 A classification tree keeps each distinct row of its bootstrap sample
 once, as one entry with the row's multiplicity as an int32 weight; a
