@@ -187,7 +187,6 @@ def test_single_feature_forest():
     assert_same_trees(fit.trees, reference_trees(X, d.astype(float), n_classes=2, **params))
 
 
-
 @pytest.fixture(scope="module")
 def deep_forests():
     # Unbounded depth and single-row leaves: walks of very unequal length.
@@ -202,12 +201,8 @@ def deep_forests():
     }
 
 
-def _prediction(fit, X):
-    return fit.predict_proba(X) if hasattr(fit, "predict_proba") else fit.predict(X)
-
-
 def assert_same_prediction(fit, X):
-    got = _prediction(fit, X)
+    got = fit.predict_proba(X) if hasattr(fit, "predict_proba") else fit.predict(X)
     want = reference_predict(fit.trees, X)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
