@@ -36,7 +36,7 @@ once, as one entry with the row's multiplicity as an int32 weight; a
 bootstrap sample of n rows holds about 1 - (1 - 1/n)**n, or 63%, of
 them.  A node's size (the rows the leaf-by-size rule and the scores
 count) is then the sum of its entries' weights, and the left size at a
-boundary is a segmented cumulative sum of the weights.  This is exact:
+boundary is the sum of its weighted class counts.  This is exact:
 class counts are integers, so weighted counts are the same floats as
 counts of repeated rows, and a boundary between two copies of one row,
 or between any two rows of equal value, is never valid, so the order
@@ -59,7 +59,8 @@ per-node computation:
   differs in the last bits, so nodes are padded into the rows of 2-d
   blocks (nodes within a factor two of each other in size share one)
   and summed along the rows.  Class counts are integers, so one prefix
-  sum over all nodes minus each node's offset is exact;
+  sum over all nodes, restarted at each node by taking away the total of
+  the node before it, is exact;
 - a regression leaf is the mean of its targets in position order, which
   numpy sums pairwise; leaves of one size are averaged as the rows of a
   2-d array, which sums each row the same way;
