@@ -103,6 +103,23 @@ CASES = {
         ),
         [["sweep", "--sweep", "samplesize"]],
     ),
+    # The widest grid point fixes the drawn law: p = 5 for the dimension
+    # grid (below and above the config's p = 2), r_c = 0.9 for the
+    # confounding grid.
+    "sweep_dimension": (
+        _config(
+            estimators=ESTIMATORS[:3], learners=[LASSO_LOGISTIC, SMALL_FOREST],
+            simulation=dict(SIMULATION, r_c=0.7), sweep={"dimension": [1, 2, 5]},
+        ),
+        [["sweep", "--sweep", "dimension"]],
+    ),
+    "sweep_confounding": (
+        _config(
+            estimators=ESTIMATORS[:3], learners=[LASSO_LOGISTIC, SMALL_FOREST],
+            simulation=dict(SIMULATION, p=3, r_c=0.7), sweep={"confounding": [0.4, 0.9]},
+        ),
+        [["sweep", "--sweep", "confounding"]],
+    ),
     "verify": (
         _config(verify={"rk_pairs": [[2, 2], [4, 2]], "n_draws": 2000, "n_moment_sequences": 5}),
         [["verify"]],
