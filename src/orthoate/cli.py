@@ -33,7 +33,7 @@ from .score import (
 )
 from .seeds import stream
 from .simulation import SimConfig, SweepRow, error_summary, evaluate_dataset, generate_dataset
-from .simulation import SWEEP_SUMMARY_COLUMNS, run_sweep
+from .simulation import SWEEP_KINDS, SWEEP_SUMMARY_COLUMNS, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             # Worker count comes from ORTHOATE_WORKERS only, per the
             # reproducibility contract: flags never change numeric output.
-            p.add_argument("--sweep", required=True, help="|".join(("confounding", "dimension", "samplesize")))
+            p.add_argument("--sweep", required=True, help="|".join(SWEEP_KINDS))
             p.add_argument("--filter-infinite", action="store_true", default=None)
     return parser
 
@@ -216,7 +216,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep_grids is None or kind not in cfg.sweep_grids:
         raise ConfigError(
             f"sweep kind '{kind}' has no grid in the config"
-            if kind in ("confounding", "dimension", "samplesize")
+            if kind in SWEEP_KINDS
             else f"unknown sweep kind '{kind}'"
         )
     report = run_sweep(

@@ -40,12 +40,14 @@ from .estimators import (
     pairwise_from_theta,
     relative_ate_error,
 )
-from .exceptions import ConfigError, InvalidArgument, ShapeMismatch
+from .exceptions import ConfigError, InvalidArgument, NonFinite, ShapeMismatch
 from .learners import LearnerSpec, fit_nuisances, softmax
 from .score import Moments, _validate_orders
 from .seeds import seed_int, stream
 
-SWEEP_KINDS = ("confounding", "dimension", "samplesize")
+# Sweep kind -> the SimConfig field its grid sets, and that field's type.
+_SWEEP_FIELDS = {"confounding": ("r_c", float), "dimension": ("p", int), "samplesize": ("Q", int)}
+SWEEP_KINDS = tuple(_SWEEP_FIELDS)
 SWEEP_SUMMARY_COLUMNS = ("grid_value", "learner", "estimator", "n", "n_excluded", "eps_ate", "median")
 
 # Purpose tags for per-replication random streams.
@@ -148,29 +150,35 @@ def error_summary(errors, filter_infinite: bool) -> dict:
 
 @dataclass(frozen=True)
 class TreatmentOutcomeModel:
-    """The true data law: propensities, outcome surfaces, noise scales."""
+    """The true data law: propensities, outcome surfaces, noise scales.
+
+    Only ``beta`` (arms x confounders) and ``outcome_coeffs`` (arms x
+    covariates) are given.  The arm count fixes the treatment
+    intensities ``d_levels`` and noise SDs ``noise_sd``: (0.1, 0.5, 1)
+    and (3, 2, 1) for three arms, otherwise intensities evenly spaced
+    from 0.1 to 1 and unit noise.
+    """
 
     beta: np.ndarray
     outcome_coeffs: np.ndarray
-    d_levels: np.ndarray
-    noise_sd: np.ndarray
+    d_levels: np.ndarray = field(init=False)
+    noise_sd: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         a = np.atleast_2d(np.asarray(self.outcome_coeffs, dtype=float))
-        dl = np.asarray(self.d_levels, dtype=float)
-        sd = np.asarray(self.noise_sd, dtype=float)
         n = beta.shape[0]
-        if a.shape[0] != n or dl.shape != (n,) or sd.shape != (n,):
+        if a.shape[0] != n:
             raise ShapeMismatch("model parameter shapes disagree on the treatment count")
         if beta.shape[1] > a.shape[1]:
             raise ShapeMismatch("confounding columns cannot exceed covariate columns")
-        if np.any(dl <= 0) or np.any(sd <= 0):
-            raise InvalidArgument("d_levels and noise_sd must be positive")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "outcome_coeffs", a)
-        object.__setattr__(self, "d_levels", dl)
-        object.__setattr__(self, "noise_sd", sd)
+        three = n == 3
+        object.__setattr__(
+            self, "d_levels", np.array([0.1, 0.5, 1.0]) if three else np.linspace(0.1, 1.0, n)
+        )
+        object.__setattr__(self, "noise_sd", np.array([3.0, 2.0, 1.0]) if three else np.ones(n))
 
     @property
     def n_treatments(self) -> int:
@@ -254,24 +262,16 @@ def draw_default_params(p: int, n_confounding: int, n_treatments: int = 3, seed:
     return beta, outcome_coeffs
 
 
-def default_d_levels(n_treatments: int) -> np.ndarray:
-    if n_treatments == 3:
-        return np.array([0.1, 0.5, 1.0])
-    return np.linspace(0.1, 1.0, n_treatments)
-
-
-def default_noise_sd(n_treatments: int) -> np.ndarray:
-    if n_treatments == 3:
-        return np.array([3.0, 2.0, 1.0])
-    return np.ones(n_treatments)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One benchmark setting: sample size, dimensions, coefficients, seed.
 
-    ``propensity_noise_sd`` > 0 corrupts every fitted propensity of a
-    sweep with log-space noise of that SD (:class:`NoisyPropensity`).
+    ``beta`` and ``outcome_coeffs`` are set from the library only: each
+    is None (drawn by :func:`draw_default_params`) or a finite 2-d array
+    with ``n_treatments`` rows and at least ``n_confounding`` (beta) or
+    ``p`` (outcome_coeffs) columns, which :meth:`model` cuts to that
+    width.  ``propensity_noise_sd`` > 0 corrupts every fitted propensity
+    of a sweep with log-space noise of that SD (:class:`NoisyPropensity`).
     """
 
     Q: int = 4000
@@ -301,19 +301,33 @@ class SimConfig:
         return int(round(self.p * self.r_c))
 
     def model(self) -> TreatmentOutcomeModel:
-        beta, coeffs = self.beta, self.outcome_coeffs
-        if beta is None or coeffs is None:
-            drawn_beta, drawn_coeffs = draw_default_params(
-                self.p, self.n_confounding, self.n_treatments, self.master_seed
+        return TreatmentOutcomeModel(*_model_params(self))
+
+
+def _model_params(cfg: SimConfig) -> tuple:
+    """The (beta, outcome_coeffs) of the setting's law, by the rule of :class:`SimConfig`.
+
+    A given array is checked and cut to its width; a missing one is drawn.
+    """
+    drawn = None
+    if cfg.beta is None or cfg.outcome_coeffs is None:
+        drawn = draw_default_params(cfg.p, cfg.n_confounding, cfg.n_treatments, cfg.master_seed)
+    params = []
+    for j, (name, width) in enumerate((("beta", cfg.n_confounding), ("outcome_coeffs", cfg.p))):
+        given = getattr(cfg, name)
+        if given is None:
+            params.append(drawn[j])
+            continue
+        a = np.asarray(given, dtype=float)
+        if a.ndim != 2 or a.shape[0] != cfg.n_treatments or a.shape[1] < width:
+            raise ShapeMismatch(
+                f"{name} must be a 2-d array of {cfg.n_treatments} rows and at least "
+                f"{width} columns, got shape {a.shape}"
             )
-            beta = drawn_beta if beta is None else beta
-            coeffs = drawn_coeffs if coeffs is None else coeffs
-        return TreatmentOutcomeModel(
-            beta=np.asarray(beta, dtype=float)[:, : self.n_confounding],
-            outcome_coeffs=np.asarray(coeffs, dtype=float)[:, : self.p],
-            d_levels=default_d_levels(self.n_treatments),
-            noise_sd=default_noise_sd(self.n_treatments),
-        )
+        if not np.isfinite(a).all():
+            raise NonFinite(f"{name} must be finite")
+        params.append(a[:, :width])
+    return tuple(params)
 
 
 def generate_dataset(cfg: SimConfig, replication: int = 0) -> Dataset:
@@ -437,20 +451,6 @@ class SweepReport:
                 for group, estimator in sorted(groups)]
 
 
-def _grid_config(cfg: SimConfig, kind: str, value, beta_full, coeffs_full) -> SimConfig:
-    if kind == "samplesize":
-        point = replace(cfg, Q=int(value))
-    elif kind == "dimension":
-        point = replace(cfg, p=int(value))
-    else:  # confounding; run_sweep has rejected every other kind
-        point = replace(cfg, r_c=float(value))
-    return replace(
-        point,
-        beta=beta_full[:, : point.n_confounding],
-        outcome_coeffs=coeffs_full[:, : point.p],
-    )
-
-
 # Spawn keys of a replication's split, fit and estimator seeds.
 _SWEEP_KEYS = (_TAG_SPLIT, _TAG_PARAMS + 1, _TAG_ESTIMATOR)
 
@@ -494,8 +494,12 @@ def run_sweep(
 ) -> SweepReport:
     """Run every estimator/learner combo over a parameter grid.
 
-    Model coefficients are drawn once per sweep at the widest grid
-    shape and sliced per grid point, so grid points share parameters
+    The model parameters are resolved once, by the rule of
+    :class:`SimConfig`, at the grid's widest point: the largest ``p``
+    of a dimension grid and the config's own, the largest ``r_c`` of a
+    confounding grid, the config itself for sample sizes.  Every point
+    is the config with its grid field set and those arrays, which its
+    :meth:`SimConfig.model` cuts, so grid points share parameters
     wherever shapes overlap.  Each (grid point, replication) is an
     independent task; with ``workers`` > 1 tasks run in a process pool,
     and results are identical to the serial order because every task
@@ -506,34 +510,20 @@ def run_sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep grid must be non-empty")
-    if kind == "dimension":
-        p_max = max([int(v) for v in values] + [cfg.p])
-        conf_max = int(round(p_max * cfg.r_c))
-    elif kind == "confounding":
-        p_max = cfg.p
-        conf_max = int(round(cfg.p * max(float(v) for v in values)))
-    else:
-        p_max, conf_max = cfg.p, cfg.n_confounding
-    if (
-        cfg.beta is not None
-        and cfg.outcome_coeffs is not None
-        and np.asarray(cfg.beta).shape[1] >= conf_max
-        and np.asarray(cfg.outcome_coeffs).shape[1] >= p_max
-    ):
-        beta_full = np.asarray(cfg.beta, dtype=float)
-        coeffs_full = np.asarray(cfg.outcome_coeffs, dtype=float)
-    else:
-        beta_full, coeffs_full = draw_default_params(
-            p_max, max(conf_max, 1), cfg.n_treatments, cfg.master_seed
-        )
+    name, cast = _SWEEP_FIELDS[kind]
+    grid = [cast(v) for v in values]
+    # The sample size does not enter the parameters, so its widest point is any.
+    widest = max(grid + [cfg.p]) if kind == "dimension" else max(grid)
+    beta, coeffs = _model_params(replace(cfg, **{name: widest}))
     task = partial(
         _sweep_task, tuple(learner_specs), tuple(estimator_specs), tuple(split_ratios),
         propensity_floor, moments_from, truth_from,
     )
-    points = []
-    for value in values:
-        cfg_point = _grid_config(cfg, kind, value, beta_full, coeffs_full)
-        points.extend((cfg_point, value, rep) for rep in range(cfg.M))
+    points = [
+        (replace(cfg, **{name: v}, beta=beta, outcome_coeffs=coeffs), value, rep)
+        for value, v in zip(values, grid)
+        for rep in range(cfg.M)
+    ]
     if workers is None:
         workers = _env_workers()
     report = SweepReport()

@@ -12,7 +12,6 @@ from orthoate import (
     NuisanceFits,
     SimConfig,
     SplitPlan,
-    TreatmentOutcomeModel,
     estimate_higher_order,
     estimate_moments,
     fit_forest_classifier,
@@ -69,14 +68,6 @@ def test_mixture_propensity_outside_the_open_interval():
 def test_unknown_moments_source():
     with pytest.raises(InvalidArgument, match="moments_from must be 'estimation' or 'training'"):
         run_estimators([], None, None, None, moments_from="validation")
-
-
-def test_non_positive_treatment_level():
-    with pytest.raises(InvalidArgument, match="d_levels and noise_sd must be positive"):
-        TreatmentOutcomeModel(
-            beta=np.zeros((2, 1)), outcome_coeffs=np.zeros((2, 1)),
-            d_levels=np.array([1.0, 0.0]), noise_sd=np.array([1.0, 1.0]),
-        )
 
 
 def test_propensity_floor_of_one_half():

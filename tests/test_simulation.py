@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orthoate import (
     ConfigError,
@@ -9,7 +12,11 @@ from orthoate import (
     LearnerSpec,
     MissingClass,
     NoisyPropensity,
+    NonFinite,
+    ShapeMismatch,
     SimConfig,
+    TreatmentOutcomeModel,
+    draw_default_params,
     estimate_dr,
     fit_nuisances,
     generate_dataset,
@@ -91,6 +98,76 @@ class TestModel:
         mc = [np.mean(nu**q) for q in range(1, 5)]
         assert abs(quad.m(1)) < 1e-12
         np.testing.assert_allclose(quad.values, mc, atol=3e-3)
+
+
+    @pytest.mark.parametrize("n, d_levels, noise_sd", [
+        (3, [0.1, 0.5, 1.0], [3.0, 2.0, 1.0]),
+        (4, [0.1, 0.4, 0.7, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    ])
+    def test_arm_count_fixes_intensities_and_noise(self, n, d_levels, noise_sd):
+        model = TreatmentOutcomeModel(beta=np.zeros((n, 1)), outcome_coeffs=np.zeros((n, 2)))
+        np.testing.assert_allclose(model.d_levels, d_levels, rtol=1e-15)
+        np.testing.assert_array_equal(model.noise_sd, noise_sd)
+
+
+class TestModelParams:
+    """One rule turns a setting's given or missing beta and outcome_coeffs into its law."""
+
+    @pytest.mark.parametrize("kwargs, error", [
+        # Once a model with 1 confounder instead of p * r_c = 3.
+        ({"p": 3, "beta": np.ones((3, 1))}, ShapeMismatch),
+        # Once a bare IndexError.
+        ({"beta": np.ones(3)}, ShapeMismatch),
+        ({"outcome_coeffs": np.ones((2, 2))}, ShapeMismatch),
+        # Once every unit in arm 0 and a normal exit.
+        ({"beta": np.full((3, 2), np.nan)}, NonFinite),
+        ({"outcome_coeffs": np.array([[1.0, np.inf]] * 3)}, NonFinite),
+    ])
+    def test_given_array_outside_the_rule(self, kwargs, error):
+        with pytest.raises(error):
+            SimConfig(Q=100, M=1, **kwargs).model()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_model_applies_the_rule_or_raises_a_typed_error(self, data):
+        n = data.draw(st.integers(2, 4), label="n_treatments")
+        p = data.draw(st.integers(1, 4), label="p")
+        c = data.draw(st.integers(1, p), label="n_confounding")
+        shapes = st.lists(st.integers(0, 5), min_size=0, max_size=3).map(tuple)
+        elements = st.floats(allow_nan=True, allow_infinity=True, width=64)
+        given_arrays = st.none() | shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
+        beta = data.draw(given_arrays, label="beta")
+        coeffs = data.draw(given_arrays, label="outcome_coeffs")
+        cfg = SimConfig(Q=10, p=p, r_c=c / p, n_treatments=n, M=1, beta=beta, outcome_coeffs=coeffs)
+        assert cfg.n_confounding == c
+        try:
+            model = cfg.model()
+        except (ShapeMismatch, NonFinite):
+            return
+        assert model.beta.shape == (n, c)
+        assert model.outcome_coeffs.shape == (n, p)
+        drawn = draw_default_params(p, c, n, cfg.master_seed)
+        for got, arg, default in ((model.beta, beta, drawn[0]), (model.outcome_coeffs, coeffs, drawn[1])):
+            np.testing.assert_array_equal(got, default if arg is None else arg[:, : got.shape[1]])
+
+    def test_sweep_honours_a_lone_beta(self):
+        # A sweep once drew both arrays unless both were given, so its law
+        # differed from generate_dataset's for the same config.
+        beta = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        lone = SimConfig(Q=200, p=2, M=1, master_seed=4, beta=beta)
+        both = SimConfig(Q=200, p=2, M=1, master_seed=4, beta=beta,
+                         outcome_coeffs=draw_default_params(2, 2, 3, 4)[1])
+        specs = (EstimatorSpec("dr"), EstimatorSpec("dml"))
+        errors = [[r.rel_error for r in run_sweep(cfg, "samplesize", (200,), specs).rows]
+                  for cfg in (lone, both, SimConfig(Q=200, p=2, M=1, master_seed=4))]
+        assert errors[0] == errors[1]
+        assert errors[0] != errors[2]
+
+    def test_dimension_sweep_rejects_arrays_narrower_than_its_widest_point(self):
+        # Once both arrays were thrown away and defaults drawn, also for p = 2.
+        cfg = SimConfig(Q=100, p=2, M=1, beta=np.zeros((3, 2)), outcome_coeffs=np.ones((3, 2)))
+        with pytest.raises(ShapeMismatch, match="at least 4 columns"):
+            run_sweep(cfg, "dimension", (2, 4), (EstimatorSpec("dr"),))
 
 
 class TestGeneration:
