@@ -99,7 +99,6 @@ class TestModel:
         assert abs(quad.m(1)) < 1e-12
         np.testing.assert_allclose(quad.values, mc, atol=3e-3)
 
-
     @pytest.mark.parametrize("n, d_levels, noise_sd", [
         (3, [0.1, 0.5, 1.0], [3.0, 2.0, 1.0]),
         (4, [0.1, 0.4, 0.7, 1.0], [1.0, 1.0, 1.0, 1.0]),
@@ -130,6 +129,7 @@ class TestModelParams:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_model_applies_the_rule_or_raises_a_typed_error(self, data):
+        # The suite turns RuntimeWarning into an error, so none may escape either.
         n = data.draw(st.integers(2, 4), label="n_treatments")
         p = data.draw(st.integers(1, 4), label="p")
         c = data.draw(st.integers(1, p), label="n_confounding")
