@@ -16,9 +16,15 @@ observation so every stencil point keeps the perturbed propensity
 inside (0.01, 0.99).
 
 Cost: one draw per call, which ``verify`` shares across every score it
-checks.  Each direction evaluates the correction factor 2*order+1
-times, once per propensity offset, and forms stencil values on demand,
-so memory is linear in ``n_draws`` whatever the size of the stencil grid.
+checks.  A score evaluates the correction factor 1 + D*2*order times
+over the draws (D directions): once at the unperturbed propensity,
+shared by the directions, and once per direction at each non-zero
+propensity offset.  The non-zero offsets and the stencil values run by
+blocks of ``_BLOCK_ROWS`` draws.  Memory above the draw is one
+full-length sum per multi-index with a1 < 2 (2*order of them, for one
+direction at a time) and the offset-0 correction, plus the temporaries
+of one block.  Every step is elementwise until the mean and deviation,
+which see all draws at once, so the block size changes no bit.
 
 The model argument supplies the data law and true nuisances; any object
 with ``n_treatments``, ``sample_potential(n, rng)``, ``propensities(Z)``,
@@ -41,6 +47,10 @@ PROPENSITY_LO = 0.01
 PROPENSITY_HI = 0.99
 
 DIRECTION_NAMES = ("constant", "sigmoid")
+
+# Draws whose stencil values are formed together; the per-alpha sums
+# keep full length so their mean and deviation see every draw at once.
+_BLOCK_ROWS = 8192
 
 # The stencils divide by (2*epsilon)**a for a <= order, and the standard
 # errors square the result: keep the square of the largest scale a
@@ -186,29 +196,53 @@ def check_on_draw(coeffs: OrthoCoefficients | None, moments: Moments | None, dra
     """:func:`check_orthogonality` with the arguments ``draw`` was made with, on ``draw``."""
     label, correction = _score(coeffs, moments)
     order, epsilon, n_draws = draw.order, draw.epsilon, draw.t_ind.size
-    t_ind, a0, g0, y, theta = draw.t_ind, draw.a0, draw.g0, draw.y, draw.theta
     alphas = [(a1, total - a1) for total in range(1, order + 1) for a1 in range(total + 1)]
+    # a0 + 0 * epsilon * h_a is a0 bit for bit (every h_a >= 0), so both
+    # directions share the offset-0 correction.
+    at_zero = correction(draw.t_ind, draw.a0)
     entries = []
     for name, h_g, h_a in draw.directions:
-        A = {ot: correction(t_ind, a0 + ot * epsilon * h_a) for ot in range(-order, order + 1)}
+        sums = {alpha: np.zeros(n_draws) for alpha in alphas if alpha[0] < 2}
+        for lo in range(0, n_draws, _BLOCK_ROWS):
+            _stencil_block(draw, correction, at_zero, h_g, h_a, slice(lo, lo + _BLOCK_ROWS), sums)
         for a1, a2 in alphas:
             if a1 >= 2:
                 entries.append(DerivativeEstimate((a1, a2), name, 0.0, 0.0, False, exact=True))
                 continue
-            comb = np.zeros(n_draws)
-            for j in range(a1 + 1):
-                wj = (-1.0) ** j * binomial(a1, j)
-                g_pert = g0 + (a1 - 2 * j) * epsilon * h_g
-                for l in range(a2 + 1):
-                    w = wj * (-1.0) ** l * binomial(a2, l)
-                    comb += w * (theta - g_pert - (y - g_pert) * A[a2 - 2 * l])
-            comb /= (2.0 * epsilon) ** (a1 + a2)
-            est = float(comb.mean())
-            se = float(comb.std(ddof=1) / np.sqrt(n_draws))
+            values = sums.pop((a1, a2))  # freed before the next direction allocates
+            est = float(values.mean())
+            se = float(values.std(ddof=1) / np.sqrt(n_draws))
             entries.append(DerivativeEstimate((a1, a2), name, est, se, abs(est) > 3.0 * se))
     return OrthogonalityReport(
         label, draw.treatment, order, epsilon, n_draws, draw.seed, tuple(entries)
     )
+
+
+def _stencil_block(draw: TruthDraw, correction, at_zero, h_g, h_a, rows: slice, sums) -> None:
+    """Add the stencil values of ``rows`` along one direction into ``sums[alpha][rows]``.
+
+    Every step is elementwise, so a block gives the bits the same steps
+    give over all draws at once.
+    """
+    order, epsilon = draw.order, draw.epsilon
+    t_ind, a0, h_a = draw.t_ind[rows], draw.a0[rows], h_a[rows]
+    A = {ot: correction(t_ind, a0 + ot * epsilon * h_a) for ot in range(-order, order + 1) if ot}
+    A[0] = at_zero[rows]
+    # Outcome shifts a1 - 2j of the stencils with a1 < 2: -1, 0 and 1.
+    g0, y, h_g = draw.g0[rows], draw.y[rows], h_g[rows]
+    terms = {}
+    for shift in (-1, 0, 1):
+        g_pert = g0 + shift * epsilon * h_g
+        terms[shift] = (draw.theta - g_pert, y - g_pert)
+    for (a1, a2), values in sums.items():
+        out = values[rows]
+        for j in range(a1 + 1):
+            wj = (-1.0) ** j * binomial(a1, j)
+            theta_gap, y_gap = terms[a1 - 2 * j]
+            for l in range(a2 + 1):
+                w = wj * (-1.0) ** l * binomial(a2, l)
+                out += w * (theta_gap - y_gap * A[a2 - 2 * l])
+        out /= (2.0 * epsilon) ** (a1 + a2)
 
 
 def check_orthogonality(
@@ -237,10 +271,11 @@ def check_orthogonality(
     outcome regression; they are reported as exact without a stencil.
 
     Cost: one draw per call (:func:`draw_at_truth`), which ``verify``
-    shares across every score (:func:`check_on_draw`).  Each direction
-    costs 2*order+1 correction evaluations; stencil values are formed
-    on demand, so memory is linear in ``n_draws``.  Bad arguments raise
-    :class:`InvalidArgument` before the draw.
+    shares across every score (:func:`check_on_draw`).  A score costs
+    1 + D*2*order correction evaluations over the draws for D
+    directions, evaluated by row blocks; memory is held in the 2*order
+    per-alpha sums and the offset-0 correction, plus block temporaries.
+    Bad arguments raise :class:`InvalidArgument` before the draw.
     """
     _check_arguments(model, order, epsilon, n_draws, treatment, directions)
     _score(coeffs, moments)  # refuses coefficients without moments before the draw

@@ -19,6 +19,9 @@ from orthoate.gateaux import (
 
 SCORES = [(2, 2), (4, 2), (4, 3), (6, 4), None]
 N_DRAWS = 3000
+# With blocks of 1,000 rows, 3,000 draws fill three blocks and 3,001 add a
+# ragged fourth of one row.
+SMALL_BLOCK = 1000
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +40,18 @@ def _key(e):
     return (e.alpha, e.direction, e.estimate.hex(), e.se.hex(), e.exact, e.violated)
 
 
+def _score_id(rk):
+    return "dml" if rk is None else f"ho{rk[0]}{rk[1]}"
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(gateaux, "_BLOCK_ROWS", SMALL_BLOCK)
+
+
 @pytest.mark.parametrize("treatment", [0, 1])
-@pytest.mark.parametrize("rk", SCORES, ids=lambda rk: "dml" if rk is None else f"ho{rk[0]}{rk[1]}")
-def test_estimates_match_full_grid_oracle_bit_for_bit(model, rk, treatment):
+@pytest.mark.parametrize("rk", SCORES, ids=_score_id)
+def test_estimates_match_full_grid_oracle_bit_for_bit(model, small_blocks, rk, treatment):
     coeffs, moments = _score(model, rk, treatment)
     for order in range(1, 6):
         kwargs = dict(order=order, epsilon=0.05, n_draws=N_DRAWS, seed=order, treatment=treatment)
@@ -50,11 +62,13 @@ def test_estimates_match_full_grid_oracle_bit_for_bit(model, rk, treatment):
 
 @pytest.mark.parametrize("treatment", [0, 1])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_every_score_on_one_shared_draw_matches_its_own_call_and_the_oracle(model, order, treatment):
+def test_every_score_on_one_shared_draw_matches_its_own_call_and_the_oracle(
+    model, small_blocks, order, treatment
+):
     # 3,001 draws: not a multiple of any SIMD width.
     kwargs = dict(order=order, epsilon=0.05, n_draws=3001, seed=order, treatment=treatment)
     draw = draw_at_truth(model, 3001, order, treatment, order, 0.05)
-    for rk in [(2, 2), (4, 2), (4, 3), None]:
+    for rk in SCORES:
         coeffs, moments = _score(model, rk, treatment)
         shared = check_on_draw(coeffs, moments, draw)
         alone = check_orthogonality(coeffs, moments, model, **kwargs)
@@ -62,6 +76,17 @@ def test_every_score_on_one_shared_draw_matches_its_own_call_and_the_oracle(mode
         assert [_key(e) for e in shared.entries] == [_key(e) for e in alone.entries], rk
         assert [_key(e) for e in shared.entries] == [_key(e) for e in want], rk
         assert shared == alone
+
+
+@pytest.mark.parametrize("rk", SCORES, ids=_score_id)
+def test_estimates_at_the_default_block_match_the_oracle_over_a_ragged_last_block(model, rk):
+    n_draws = int(2.5 * gateaux._BLOCK_ROWS) + 1
+    coeffs, moments = _score(model, rk, 0)
+    for order in range(1, 5):
+        kwargs = dict(order=order, epsilon=0.05, n_draws=n_draws, seed=order, treatment=0)
+        rep = check_orthogonality(coeffs, moments, model, **kwargs)
+        want = reference_entries(coeffs, moments, model, **kwargs)
+        assert [_key(e) for e in rep.entries] == [_key(e) for e in want], f"order {order}"
 
 
 def test_the_draw_keeps_no_view_of_the_sample(model):
@@ -83,39 +108,80 @@ def test_draw_refuses_bad_arguments_before_drawing(model, monkeypatch):
         draw_at_truth(model, 100, 0, 0, 0, 0.05)
 
 
+def _first_row(view, whole):
+    assert np.shares_memory(view, whole)
+    return (view.ctypes.data - whole.ctypes.data) // whole.itemsize
+
+
 @pytest.mark.parametrize("rk", [(2, 2), None], ids=["ho22", "dml"])
 @pytest.mark.parametrize("directions", [DIRECTION_NAMES, ("sigmoid",)])
-def test_one_correction_per_propensity_offset_and_direction(model, monkeypatch, rk, directions):
+def test_one_correction_per_propensity_offset_and_direction(
+    model, monkeypatch, small_blocks, rk, directions
+):
+    # Offset 0 is evaluated once per score over every draw; each other
+    # offset once per direction, by blocks that cover every draw once.
     calls = []
 
     def counting(fn):
-        def wrapped(*args, **kwargs):
-            calls.append(np.size(args[1]))
-            return fn(*args, **kwargs)
+        def wrapped(t, a, *args, **kwargs):
+            calls.append((t, a.copy()))
+            return fn(t, a, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(gateaux, "correction_values", counting(gateaux.correction_values))
     monkeypatch.setattr(gateaux, "dml_correction_values", counting(gateaux.dml_correction_values))
     coeffs, moments = _score(model, rk, 0)
+    n_draws = 2500
     for order in (1, 2, 4):
+        draw = draw_at_truth(model, n_draws, 0, 0, order, 0.05, directions)
         calls.clear()
-        check_orthogonality(coeffs, moments, model, order=order, n_draws=500, directions=directions)
-        assert len(calls) == len(directions) * (2 * order + 1)
-        assert set(calls) == {500}
+        check_on_draw(coeffs, moments, draw)
+        spans = {}
+        for t, a in calls:
+            lo = _first_row(t, draw.t_ind)
+            rows = slice(lo, lo + t.size)
+            if np.array_equal(a, draw.a0[rows]):
+                keys = [("every direction", 0)]
+            else:
+                keys = [
+                    (name, ot)
+                    for name, _, h_a in draw.directions
+                    for ot in range(-order, order + 1)
+                    if ot and np.array_equal(a, draw.a0[rows] + ot * 0.05 * h_a[rows])
+                ]
+            assert len(keys) == 1
+            spans.setdefault(keys[0], []).append((rows.start, rows.stop))
+        want = {("every direction", 0)} | {
+            (name, ot) for name in directions for ot in range(-order, order + 1) if ot
+        }
+        assert set(spans) == want
+        assert spans.pop(("every direction", 0)) == [(0, n_draws)]
+        blocks = [(lo, min(lo + SMALL_BLOCK, n_draws)) for lo in range(0, n_draws, SMALL_BLOCK)]
+        assert all(sorted(s) == blocks for s in spans.values())
+        assert len(calls) == 1 + len(directions) * 2 * order * 3
+        assert sum(t.size for t, _ in calls) == n_draws * (1 + len(directions) * 2 * order)
 
 
-def test_traced_peak_is_linear_in_draws_and_free_of_the_grid(model):
-    # The full (2*order+1)**2 grid held about 103 arrays of n_draws at order 4.
-    coeffs, moments = _score(model, (2, 2), 0)
+def test_traced_peak_is_linear_in_draws_and_free_of_the_grid(model, monkeypatch):
+    # Above the draw: one full-length sum per stencilled alpha (2 * order
+    # of them), the offset-0 correction, and the deviation's temporary,
+    # with one array to spare; the rest is temporaries of one block.  The
+    # unblocked stencil held 16 arrays of n_draws at order 2.
     n_draws = 50_000
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        check_orthogonality(coeffs, moments, model, order=4, n_draws=n_draws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * 8 * n_draws
+    for block in (SMALL_BLOCK, gateaux._BLOCK_ROWS):
+        monkeypatch.setattr(gateaux, "_BLOCK_ROWS", block)
+        for order in (1, 2, 4):
+            draw = draw_at_truth(model, n_draws, 0, 0, order, 0.05)
+            bound = 8 * ((2 * order + 3) * n_draws + (2 * order + 16) * block)
+            for rk in [(2, 2), None]:
+                coeffs, moments = _score(model, rk, 0)
+                tracemalloc.start()
+                try:
+                    check_on_draw(coeffs, moments, draw)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (block, order, rk)
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,29 @@ class TestCorrection:
             scalar = float(correction_values(int(t[j]), a[j], c, bernoulli_03_moments))
             assert vec[j] == pytest.approx(scalar, rel=1e-14)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        start=st.integers(1, 7),
+        length=st.integers(0, 500).map(lambda h: 2 * h + 1),
+    )
+    def test_slices_give_the_bits_of_the_whole_array(self, seed, start, length):
+        # The Gateaux stencil evaluates corrections by row blocks, which is
+        # exact only if each element's bits do not depend on its neighbours
+        # or its alignment; numpy's ** takes different paths for negative
+        # and non-negative bases.
+        rng = np.random.default_rng(seed)
+        n = 2051
+        t = rng.integers(0, 2, n).astype(float)
+        a = rng.uniform(0.01, 0.99, n)
+        mom = random_realizable_moments(rng, 6)
+        cuts = [0, *range(start, n, length)[:12], n]
+        for r, k in all_rk_pairs(6):
+            c = compute_coefficients(r, k, mom)
+            whole = correction_values(t, a, c, mom)
+            parts = [correction_values(t[lo:hi], a[lo:hi], c, mom) for lo, hi in zip(cuts, cuts[1:])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), (r, k)
+
 
 class TestDerivative:
     def test_matches_central_difference(self, bernoulli_03_moments):
