@@ -158,7 +158,7 @@ def test_one_correction_per_propensity_offset_and_direction(
         assert spans.pop(("every direction", 0)) == [(0, n_draws)]
         blocks = [(lo, min(lo + SMALL_BLOCK, n_draws)) for lo in range(0, n_draws, SMALL_BLOCK)]
         assert all(sorted(s) == blocks for s in spans.values())
-        assert len(calls) == 1 + len(directions) * 2 * order * 3
+        assert len(calls) == 1 + len(directions) * 2 * order * len(blocks)
         assert sum(t.size for t, _ in calls) == n_draws * (1 + len(directions) * 2 * order)
 
 
