@@ -21,10 +21,11 @@ its median is better than the parent's by more than the parent's
 interquartile range.  Each metric also gets a no-regression verdict
 against its bound in the repository's ``BENCHMARK.json``
 (``end_to_end[].bound``, a fraction of the parent's median): ``worse``
-when the change's median exceeds the parent's by more than the bound,
-``unresolved`` when the parent's interquartile range is wider than the
-bound and not every change run beats every parent run, and ``ok``
-otherwise.  Every run keeps its exit code; a run whose last
+when the change's median exceeds the parent's by more than the bound
+(in a batch of fewer than 10 pairs, only when every change run does,
+and ``unresolved`` otherwise), ``unresolved`` when the parent's
+interquartile range is wider than the bound and not every change run
+beats every parent run, and ``ok`` otherwise.  Every run keeps its exit code; a run whose last
 stdout line is not a result object also keeps that line's first 200
 characters.  The script exits 1 if
 any run is not ``"correct": true`` or the two sides' report digests
@@ -125,14 +126,21 @@ def load_bounds(path: Path = BENCHMARK) -> dict:
     return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
 
 
-def regression(metric: dict, bound: float) -> dict:
+# Batches of fewer pairs read ``worse`` only when every change run is past the limit.
+FULL_PAIRS = 10
+
+
+def regression(metric: dict, bound: float, pairs: int) -> dict:
     """Whether ``metric`` (lower is better) got worse than the parent by more than ``bound``.
 
     ``worse``: the change's median exceeds the parent's by more than
-    ``bound`` times the parent's median.  ``unresolved``: the parent's
-    interquartile range is wider than that margin, so a median inside it
-    shows nothing, unless every change run beats every parent run; also
-    when either side has no values.  ``ok`` otherwise.
+    ``bound`` times the parent's median.  Under FULL_PAIRS ``pairs``
+    every change run must exceed it so, as the median of a few runs
+    moves that far on noise alone; if not, ``unresolved``.
+    ``unresolved`` also when the parent's interquartile range is wider
+    than that margin, so a median inside it shows nothing, unless every
+    change run beats every parent run; and when either side has no
+    values.  ``ok`` otherwise.
     """
     parent, change = metric["parent"], metric["change"]
     if parent["median"] is None or change["median"] is None:
@@ -140,7 +148,8 @@ def regression(metric: dict, bound: float) -> dict:
     margin = bound * parent["median"]
     iqr = parent["quartiles"][1] - parent["quartiles"][0]
     if change["median"] - parent["median"] > margin:
-        verdict = "worse"
+        few = pairs < FULL_PAIRS and min(change["values"]) - parent["median"] <= margin
+        verdict = "unresolved" if few else "worse"
     elif iqr > margin and max(change["values"]) >= min(parent["values"]):
         verdict = "unresolved"
     else:
@@ -185,7 +194,7 @@ def summarize(runs: list) -> dict:
             "wins": wins,
         }
         metrics[name]["verdict"] = verdict(metrics[name], len(by_pair))
-        metrics[name]["regression"] = regression(metrics[name], bounds[name])
+        metrics[name]["regression"] = regression(metrics[name], bounds[name], len(by_pair))
     digests = {side: sorted({r["report_digest"] for r in runs if r["side"] == side}, key=str)
                for side in SIDES}
     all_correct = all(

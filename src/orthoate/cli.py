@@ -92,9 +92,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     base = _sim_config(cfg)
     for m in range(base.M):
-        ds = generate_dataset(base, m)
+        # Never bound, so each dataset is freed before the next is generated.
         path = out / f"dataset_{m:03d}.csv"
-        save_csv_dataset(ds, path)
+        save_csv_dataset(generate_dataset(base, m), path)
         print(f"wrote {path}")
     return 0
 
@@ -109,39 +109,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     errors = []
     for di, path in enumerate(cfg.datasets):
         try:
-            ds = load_csv_dataset(path, cfg.n_treatments)
-            rows, dataset_errors = [], []
-            # Split, fit and estimator seeds: spawn keys (di, 0), (di, 1), (di, 2).
-            for lspec, espec, report, err in evaluate_dataset(
-                ds, cfg.split, cfg.seed, di, (0, 1, 2), cfg.learners, cfg.estimators,
-                cfg.propensity_floor, moments_from=cfg.moments_from, truth_from=cfg.truth_from,
-            ):
-                row = {"learner": lspec.label, "estimator": espec.label}
-                for i, v in enumerate(report.theta):
-                    row[f"theta_{i}"] = v
-                for i in range(ds.n_treatments):
-                    for k in range(ds.n_treatments):
-                        if i != k:
-                            row[f"ate_{i}_{k}"] = report.ate_pairwise[i, k]
-                if err is not None:
-                    dataset_errors.append((lspec.label, espec.label, di, err))
-                row["rel_error"] = err
-                row["n_floored"] = report.diagnostics.n_floored
-                row["infinite"] = report.diagnostics.infinite
-                row["nan"] = report.diagnostics.nan
-                rows.append(row)
-            payload = {
-                "schema_version": 1,
-                "kind": "estimate",
-                "dataset": str(path),
-                "seed": cfg.seed,
-                "columns": list(rows[0].keys()),
-                "rows": rows,
-            }
-            dest = out / f"{Path(path).stem}_estimates.{cfg.output_format}"
-            write_report(payload, dest, cfg.output_format)
-            print(f"wrote {dest}")
-            errors.extend(dataset_errors)
+            errors.extend(_estimate_dataset(cfg, di, path, out))
         except (OrthoError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failures.append(str(path))
@@ -155,6 +123,43 @@ def cmd_estimate(cfg: RunConfig) -> int:
         print(f"failed on {len(failures)} dataset(s): {', '.join(failures)}", file=sys.stderr)
         return 2
     return 0
+
+
+def _estimate_dataset(cfg: RunConfig, di: int, path, out: Path) -> list:
+    """Write one dataset's report and return its error entries; the dataset is freed on return."""
+    ds = load_csv_dataset(path, cfg.n_treatments)
+    rows, dataset_errors = [], []
+    # Split, fit and estimator seeds: spawn keys (di, 0), (di, 1), (di, 2).
+    for lspec, espec, report, err in evaluate_dataset(
+        ds, cfg.split, cfg.seed, di, (0, 1, 2), cfg.learners, cfg.estimators,
+        cfg.propensity_floor, moments_from=cfg.moments_from, truth_from=cfg.truth_from,
+    ):
+        row = {"learner": lspec.label, "estimator": espec.label}
+        for i, v in enumerate(report.theta):
+            row[f"theta_{i}"] = v
+        for i in range(ds.n_treatments):
+            for k in range(ds.n_treatments):
+                if i != k:
+                    row[f"ate_{i}_{k}"] = report.ate_pairwise[i, k]
+        if err is not None:
+            dataset_errors.append((lspec.label, espec.label, di, err))
+        row["rel_error"] = err
+        row["n_floored"] = report.diagnostics.n_floored
+        row["infinite"] = report.diagnostics.infinite
+        row["nan"] = report.diagnostics.nan
+        rows.append(row)
+    payload = {
+        "schema_version": 1,
+        "kind": "estimate",
+        "dataset": str(path),
+        "seed": cfg.seed,
+        "columns": list(rows[0].keys()),
+        "rows": rows,
+    }
+    dest = out / f"{Path(path).stem}_estimates.{cfg.output_format}"
+    write_report(payload, dest, cfg.output_format)
+    print(f"wrote {dest}")
+    return dataset_errors
 
 
 def _estimate_summary(cfg: RunConfig, errors: list) -> dict:

@@ -8,7 +8,8 @@ Written files have ``\\r\\n`` line ends and ``repr`` floats.  The reader
 first tries ``np.loadtxt`` on the body and keeps its table only when it
 is complete and finite; any other file goes to the strict per-row
 parser, which alone reports errors, so both give the same numbers and
-the same messages.
+the same messages.  A loaded dataset holds one copy of its columns, and
+commands hold one dataset at a time.
 
 Result payloads are dicts with ``columns``/``rows`` plus metadata.
 JSON keeps the full payload; CSV keeps the bare table.  Non-finite
@@ -84,7 +85,8 @@ def load_csv_dataset(path, n_treatments: int | None = None) -> Dataset:
         if table is None:
             table = _strict_table(path, reader, names)
     col_of = {name: i for i, name in enumerate(names)}
-    y = table[:, col_of["y"]]
+    # A copy: a view would keep the whole table alive.
+    y = table[:, col_of["y"]].copy()
     d_raw = table[:, col_of["d"]]
     if np.any(d_raw != np.round(d_raw)):
         bad = int(np.argmax(d_raw != np.round(d_raw))) + 1
@@ -106,8 +108,8 @@ def load_csv_dataset(path, n_treatments: int | None = None) -> Dataset:
     truth = (
         np.column_stack([table[:, col_of[f"mu{i}"]] for i in range(n_mu)]) if n_mu else None
     )
-    n_treat = max(n_treat, n_mu)
-    return Dataset(y=y, d=d, Z=Z, truth=truth, n_treatments=n_treat)
+    del table, d_raw  # freed before the Dataset's checks make their temporaries
+    return Dataset(y=y, d=d, Z=Z, truth=truth, n_treatments=max(n_treat, n_mu))
 
 
 def _fast_table(path, n_cols: int):

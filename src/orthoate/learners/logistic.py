@@ -96,7 +96,9 @@ def fit_logistic(
 
     def loss_of(W, b):
         """The penalised loss at (W, b) and the probabilities it came from."""
-        P = softmax(Xs @ W.T + b)
+        logits = Xs @ W.T
+        logits += b
+        P = softmax(logits)
         # Clip only inside the log; P itself feeds the exact gradient.
         nll = -np.mean(np.log(np.clip(P.take(own), 1e-300, None)))
         nll += 0.5 * l2 * float((W * W).sum())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -234,6 +235,25 @@ def test_regression_ok_when_every_change_run_beats_every_parent_run():
     change = [1.0, 1.5, 1.2, 1.9, 1.1]
     r = bench_pairs.summarize(runs_of(parent, change))["metrics"]["wall_s"]["regression"]
     assert r["parent_iqr"] > 0.25 * 3.0 and r["verdict"] == "ok"
+
+
+def test_regression_of_a_short_batch_needs_every_change_run_past_the_limit():
+    # sweep-samplesize wall_s of one unchanged commit pair: the median moved
+    # from 0.730 to 0.925 s, past the 25% limit, but one change run is inside it.
+    parent, change = [0.720, 0.825, 0.730], [0.925, 0.836, 1.105]
+    r = bench_pairs.summarize(runs_of(parent, change))["metrics"]["wall_s"]["regression"]
+    assert r["limit"] == pytest.approx(0.9125) and r["verdict"] == "unresolved"
+    # With every change run past the limit the short batch reads worse.
+    r = bench_pairs.summarize(runs_of(parent, [0.925, 0.95, 1.105]))["metrics"]["wall_s"]
+    assert r["regression"]["verdict"] == "worse"
+
+
+def test_regression_of_ten_pairs_goes_by_the_median():
+    parent = [0.720, 0.825, 0.730] + [0.73] * 7
+    change = [0.925, 0.836, 1.105] + [0.95] * 7
+    r = bench_pairs.summarize(runs_of(parent, change))["metrics"]["wall_s"]["regression"]
+    assert min(change) < r["limit"] < statistics.median(change)
+    assert r["verdict"] == "worse"
 
 
 def test_regression_without_values_is_unresolved():

@@ -58,12 +58,43 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path
 
 
+def traced_peak(argv) -> int:
+    """The traced peak of ``main(argv)``, run once first so that one-off allocations are left out."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A dataset of these sizes with its truth columns takes Q * (8 + 8 + 8 * p + 8 * 3) bytes.
+HELD_Q, HELD_P = 5000, 10
+HELD_BYTES = HELD_Q * (8 + 8 + 8 * HELD_P + 8 * 3)
+
+
+def held_config(M=1, **overrides) -> dict:
+    sim = {"Q": HELD_Q, "p": HELD_P, "r_c": 1.0, "M": M, "n_treatments": 3}
+    return base_config(seed=1, simulation=sim, **overrides)
+
+
 class TestSimulate:
     def test_writes_m_datasets(self, workspace):
         cfg = write_json(workspace / "cfg.json", base_config())
         assert main(["simulate", "--config", cfg, "--out", "data"]) == 0
         files = sorted((workspace / "data").glob("dataset_*.csv"))
         assert len(files) == 2
+
+    def test_holds_one_dataset_at_a_time(self, workspace, monkeypatch, capsys):
+        # The writer is stubbed out: its strings would hide a dataset this small.
+        # Before each dataset was freed ahead of the next, M = 2 peaked one
+        # dataset higher than M = 1.
+        monkeypatch.setattr(cli, "save_csv_dataset", lambda ds, path: None)
+        peaks = [traced_peak(["simulate", "--config", write_json(workspace / "cfg.json",
+                                                                  held_config(M))])
+                 for M in (1, 2)]
+        assert peaks[1] - peaks[0] < HELD_BYTES / 10
 
     def test_deterministic_bytes(self, workspace):
         cfg = write_json(workspace / "cfg.json", base_config())
@@ -119,6 +150,16 @@ class TestEstimate:
             assert (workspace / "out_a" / name).read_bytes() == (
                 workspace / "out_b" / name
             ).read_bytes()
+
+    def test_holds_one_dataset_at_a_time(self, workspace, capsys):
+        # Listing one file twice raised the traced peak by about 0.4 of the
+        # dataset while the first copy stayed bound during the second load.
+        assert main(["simulate", "--config", write_json(workspace / "sim.json",
+                                                        held_config())]) == 0
+        peaks = [traced_peak(["estimate", "--config", write_json(
+            workspace / "cfg.json", held_config(datasets=["out/dataset_000.csv"] * times))])
+            for times in (1, 2)]
+        assert peaks[1] - peaks[0] < HELD_BYTES / 10
 
     def test_json_format(self, workspace, sim_dataset):
         cfg = write_json(workspace / "cfg.json", base_config(datasets=[sim_dataset]))
@@ -380,20 +421,13 @@ class TestVerify:
     def test_traced_peak_of_a_whole_run_is_below_the_per_score_draws(self, workspace):
         # One draw per score peaked at 29.2 arrays of n_draws; one shared
         # draw peaks at about 24.2.  The first run in a process allocates
-        # about 1.4 MB more once, so the second run is the one measured.
+        # about 1.4 MB more once, which traced_peak leaves out.
         n_draws = 50_000
         cfg = write_json(workspace / "cfg.json", base_config(
             seed=1, simulation={"Q": 4000, "p": 2, "r_c": 1.0, "M": 1, "n_treatments": 3},
             verify={"rk_pairs": [[2, 2], [4, 2]], "n_draws": n_draws},
         ))
-        assert main(["verify", "--config", cfg]) == 0
-        tracemalloc.start()
-        try:
-            assert main(["verify", "--config", cfg]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 26 * 8 * n_draws
+        assert traced_peak(["verify", "--config", cfg]) <= 26 * 8 * n_draws
 
     @pytest.mark.parametrize("epsilon", [1e100, 1e-200])
     def test_epsilon_outside_its_domain_is_config_error(self, workspace, capsys, epsilon):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -164,6 +165,28 @@ def dataset_bytes(ds):
     return ds.y.tobytes(), ds.d.tobytes(), ds.Z.tobytes(), truth, ds.n_treatments
 
 
+@pytest.mark.parametrize("path_taken", ["fast", "strict"])
+def test_loaded_dataset_keeps_only_its_own_bytes(tmp_path, path_taken):
+    # While y was a view of the parse table, the load kept about 1.9x these bytes.
+    ds = random_dataset(2000, True, seed=7)
+    path = tmp_path / "kept.csv"
+    save_csv_dataset(ds, path)
+    with mock.patch.object(dataio, "_fast_table", dataio._fast_table if path_taken == "fast"
+                           else lambda path, n_cols: None):
+        load_csv_dataset(path)  # first call's one-off allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = load_csv_dataset(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    nbytes = sum(a.nbytes for a in (back.y, back.d, back.Z, back.truth))
+    # The slack is the Python objects around the data: the Dataset and four
+    # array headers with their shapes and strides, 1.1-1.5 KB.
+    assert nbytes <= kept <= nbytes + 4096
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("with_truth", [True, False])
     @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
@@ -218,11 +241,21 @@ def _mutate(text, mutation, data):
     return body if mutation == "no final line end" else body + end
 
 
+def assert_arrays_own_memory(ds):
+    """No array of ``ds`` is a view of a larger buffer or shares memory with another."""
+    arrays = [a for a in (ds.y, ds.d, ds.Z, ds.truth) if a is not None]
+    assert all(a.flags.owndata for a in arrays)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
 def _load_outcome(path):
     try:
-        return dataset_bytes(load_csv_dataset(path))
+        ds = load_csv_dataset(path)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
+    assert_arrays_own_memory(ds)
+    return dataset_bytes(ds)
 
 
 @settings(max_examples=300, deadline=None)
