@@ -25,13 +25,13 @@ when the change's median exceeds the parent's by more than the bound
 (in a batch of fewer than 10 pairs, only when every change run does,
 and ``unresolved`` otherwise), ``unresolved`` when the parent's
 interquartile range is wider than the bound and not every change run
-beats every parent run, and ``ok`` otherwise.  Every run keeps its exit code; a run whose last
-stdout line is not a result object also keeps that line's first 200
-characters.  The script exits 1 if
-any run is not ``"correct": true`` or the two sides' report digests
-differ.  It exits 2, before any run, if the two checkouts resolve to
-paths of unequal length: ``verify``'s peak RSS moves with the length of
-the checkout path, so only checkouts at paths of equal length compare.
+beats every parent run, and ``ok`` otherwise.  Every run keeps its
+exit code; a run whose last stdout line is not a result object also
+keeps that line's first 200 characters.  The script exits 1 if any
+run is not ``"correct": true`` or the two sides' report digests differ.
+It exits 2, before any run, if the two checkouts resolve to paths of
+unequal length: ``verify``'s peak RSS moves with the length of the
+checkout path, so only checkouts at paths of equal length compare.
 """
 
 from __future__ import annotations

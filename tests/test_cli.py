@@ -88,8 +88,8 @@ class TestSimulate:
 
     def test_holds_one_dataset_at_a_time(self, workspace, monkeypatch, capsys):
         # The writer is stubbed out: its strings would hide a dataset this small.
-        # Before each dataset was freed ahead of the next, M = 2 peaked one
-        # dataset higher than M = 1.
+        # A dataset still bound while the next is generated adds its bytes to
+        # the peak of M = 2.
         monkeypatch.setattr(cli, "save_csv_dataset", lambda ds, path: None)
         peaks = [traced_peak(["simulate", "--config", write_json(workspace / "cfg.json",
                                                                   held_config(M))])
@@ -152,8 +152,8 @@ class TestEstimate:
             ).read_bytes()
 
     def test_holds_one_dataset_at_a_time(self, workspace, capsys):
-        # Listing one file twice raised the traced peak by about 0.4 of the
-        # dataset while the first copy stayed bound during the second load.
+        # A first copy still bound during the second load of the same file
+        # adds about 0.4 of the dataset to the peak.
         assert main(["simulate", "--config", write_json(workspace / "sim.json",
                                                         held_config())]) == 0
         peaks = [traced_peak(["estimate", "--config", write_json(

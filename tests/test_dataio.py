@@ -167,7 +167,7 @@ def dataset_bytes(ds):
 
 @pytest.mark.parametrize("path_taken", ["fast", "strict"])
 def test_loaded_dataset_keeps_only_its_own_bytes(tmp_path, path_taken):
-    # While y was a view of the parse table, the load kept about 1.9x these bytes.
+    # A column kept as a view would pin the whole parse table: about 1.9x these bytes.
     ds = random_dataset(2000, True, seed=7)
     path = tmp_path / "kept.csv"
     save_csv_dataset(ds, path)
