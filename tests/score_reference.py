@@ -1,8 +1,10 @@
-"""Analytic derivatives of the correction factor that the score tests compare against.
+"""Oracles the score tests compare ``orthoate.score`` against.
 
 The package evaluates the correction A(t, a) but never its derivatives
 in the propensity; the score tests check finite differences of
-``correction_values`` against these closed forms.
+``correction_values`` against these closed forms.  The correction
+itself is kept in its plain ``resid**r`` form as the oracle of the
+residual powers ``correction_values`` forms.
 """
 
 from __future__ import annotations
@@ -11,6 +13,21 @@ import numpy as np
 
 from orthoate.exceptions import InvalidOrder
 from orthoate.score import Moments, OrthoCoefficients
+
+
+def correction_values_reference(t, a, coeffs: OrthoCoefficients, moments: Moments) -> np.ndarray:
+    """The correction factor with numpy's own ``resid**q`` for every power."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if moments.max_order < coeffs.k - 1:
+        raise InvalidOrder(
+            f"correction of order k={coeffs.k} needs moments up to {coeffs.k - 1}"
+        )
+    resid = t - a
+    out = coeffs.bar_b_r * resid**coeffs.r
+    for q in range(1, coeffs.k):
+        out = out + coeffs.b[q - 1] * (resid**q - moments.m(q))
+    return out
 
 
 def correction_derivative_values(

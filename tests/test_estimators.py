@@ -29,6 +29,7 @@ from orthoate import (
     run_estimators,
     single_resample_pass,
 )
+from orthoate.learners.base import integer_labels
 from orthoate.simulation import error_summary
 
 
@@ -143,6 +144,23 @@ def test_unrepresentable_label_is_value_error(caller, bad):
     # A cast before the check would warn on each of these.
     with pytest.raises(ValueError, match="must be non-negative integers"):
         LABEL_CALLERS[caller](np.array([0.0, 1.0, bad]))
+
+
+# The largest int64 label: 2**63 - 512 lies halfway between the floats
+# 2**63 - 1024 and 2**63, so as a float it rounds (to even) up to 2**63.
+INT64_LABEL_MAX = 2**63 - 513
+
+
+def test_int64_labels_at_both_ends_of_the_range_are_kept():
+    d = np.array([0, INT64_LABEL_MAX, 1], dtype=np.int64)
+    got = integer_labels(d)
+    assert got.dtype == np.int64 and got.tolist() == [0, INT64_LABEL_MAX, 1]
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**63), INT64_LABEL_MAX + 1, 2**63 - 1])
+def test_int64_labels_past_the_range_are_refused(bad):
+    with pytest.raises(InvalidArgument, match="must be non-negative integers"):
+        integer_labels(np.array([0, bad, 1], dtype=np.int64))
 
 
 CLASSIFIERS = {"fit_forest_classifier": fit_forest_classifier, "fit_logistic": fit_logistic}

@@ -7,9 +7,9 @@ exit codes and their stdout, with the bytes stored under
 the sweep summary's ``generated_at`` timestamp.
 
 To rewrite the stored bytes after an intended output change, run from
-the repository root:
+the repository root (naming cases rewrites only those):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 from __future__ import annotations
@@ -124,6 +124,12 @@ CASES = {
         _config(verify={"rk_pairs": [[2, 2], [4, 2]], "n_draws": 2000, "n_moment_sequences": 5}),
         [["verify"]],
     ),
+    # Odd and higher residual powers over more than one block of the
+    # stencil's row blocks (8,192 draws).
+    "verify_odd_powers": (
+        _config(verify={"rk_pairs": [[3, 2], [6, 4]], "n_draws": 20_000, "n_moment_sequences": 5}),
+        [["verify"]],
+    ),
 }
 
 
@@ -175,7 +181,7 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
-    for case in sorted(CASES):
+    for case in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run_case(case, Path(tmp))
         shutil.rmtree(GOLDEN / case, ignore_errors=True)

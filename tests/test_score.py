@@ -10,6 +10,7 @@ from orthoate import (
     NonFinite,
     OrthoCoefficients,
     ShapeMismatch,
+    SimConfig,
     SingularSystem,
     binomial,
     compute_coefficients,
@@ -21,7 +22,8 @@ from orthoate import (
 )
 
 from conftest import moment_sequences
-from score_reference import correction_derivative_values
+from orthoate.gateaux import draw_at_truth
+from score_reference import correction_derivative_values, correction_values_reference
 
 
 def all_rk_pairs(r_max: int = 6):
@@ -198,6 +200,27 @@ class TestCorrection:
             whole = correction_values(t, a, c, mom)
             parts = [correction_values(t[lo:hi], a[lo:hi], c, mom) for lo, hi in zip(cuts, cuts[1:])]
             assert np.concatenate(parts).tobytes() == whole.tobytes(), (r, k)
+
+
+@pytest.fixture(scope="module")
+def verify_draw():
+    """The seed-1 draw of the README verify block (Q=4000, p=2, 3 arms, 200,000 draws)."""
+    model = SimConfig(Q=4000, p=2, r_c=1.0, n_treatments=3, M=1, master_seed=1).model()
+    return model, draw_at_truth(model, 200_000, 1, 0, 2, 0.05)
+
+
+@pytest.mark.parametrize("rk", [(2, 2), (4, 2), (3, 2), (6, 4)])
+def test_correction_matches_the_power_oracle_at_every_stencil_offset(verify_draw, rk):
+    model, draw = verify_draw
+    moments = model.residual_moments(0, rk[0])
+    c = compute_coefficients(rk[0], rk[1], moments)
+    for _, _, h_a in draw.directions:
+        for ot in range(-draw.order, draw.order + 1):
+            # The propensity the stencil evaluates at offset ot.
+            a = draw.a0 + ot * draw.epsilon * h_a
+            got = correction_values(draw.t_ind, a, c, moments)
+            want = correction_values_reference(draw.t_ind, a, c, moments)
+            assert got.tobytes() == want.tobytes(), (rk, ot)
 
 
 class TestDerivative:
