@@ -41,7 +41,7 @@ from .exceptions import (
     ZeroDenominator,
 )
 from .learners.base import check_label_range, integer_labels
-from .score import Moments, compute_coefficients, correction_values
+from .score import Moments, compute_coefficients, correction_values, residual_power
 from .seeds import pcg64_states, stream
 
 
@@ -143,7 +143,7 @@ def estimate_moments(d, pi_hat, treatment: int, max_order: int) -> Moments:
     if max_order < 1:
         raise InvalidArgument("max_order must be >= 1")
     resid = (d == treatment).astype(float) - pi_hat
-    vals = [float(np.mean(resid**q)) for q in range(1, max_order + 1)]
+    vals = [float(np.mean(residual_power(resid, q))) for q in range(1, max_order + 1)]
     return Moments(np.asarray(vals))
 
 

@@ -23,13 +23,24 @@ def validate_features(X, p: int | None = None) -> np.ndarray:
     return X
 
 
+# The largest int64 label: as a float, 2**63 - 512 rounds (to even) up
+# to 2**63, outside the range integer_labels accepts.
+_INT64_LABEL_MAX = 2**63 - 513
+
+
 def integer_labels(d, what: str = "labels") -> np.ndarray:
     """``d`` as int64 labels, or InvalidArgument unless each is an integer in [0, 2**63).
 
     Values are checked before the cast, so NaN, infinities, fractions and
-    out-of-range values fail without a cast warning.
+    out-of-range values fail without a cast warning.  The range is read
+    on the float value of each label, so int64 labels above
+    ``_INT64_LABEL_MAX`` fail too; int64 input is returned uncopied.
     """
     d = np.asarray(d)
+    if d.dtype == np.int64:
+        if d.size and not (d.min() >= 0 and d.max() <= _INT64_LABEL_MAX):
+            raise InvalidArgument(f"{what} must be non-negative integers")
+        return d
     f = d.astype(float)
     if not np.all((f >= 0) & (f < 2.0**63) & (f == np.floor(f))):
         raise InvalidArgument(f"{what} must be non-negative integers")

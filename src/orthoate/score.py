@@ -21,10 +21,26 @@ as a cross-check oracle.
 The plain inverse-propensity-weighted score theta - g - t*(Y - g)/a is
 kept alongside as a named special case; it is first-order orthogonal
 only.
+
+Residual powers (t - a)**q are formed by :func:`residual_power`, which
+returns the bits of numpy's ``resid**q`` faster.  For q >= 3 numpy
+gives a non-negative base its SIMD pow and sends each negative base to
+a per-element pow: libm's where numpy has no SVML, and SVML's scalar
+path on AVX-512 builds.  The two paths round differently, so these
+bits follow the host's numpy and libm.  The kernel keeps numpy's result
+for every base whose sign bit is clear.  For a negative base it forms
+|resid|**q as hi + lo with error-free float64 products (Dekker 1971);
+hi is then the correctly rounded power unless lo lies near half an
+ULP.  A pow whose error stays below 0.52 ULP, as glibc documents for
+its pow, must return hi whenever |lo| < 0.47 ULP; numpy recomputes
+every other row.  SVML's scalar pow has no documented bound; it stayed
+below 0.514 ULP on 10**7 bases per power q = 3..8, 12, 16 (numpy 2.4,
+AVX-512 x86-64).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +61,20 @@ EPSILON_MOMENT = 1e-8
 # Binomial coefficients come from a precomputed integer Pascal triangle.
 # Orders above MAX_ORDER are rejected instead of recomputed in floats.
 MAX_ORDER = 16
+
+# Rows whose negative bases residual_power settles together, so its
+# temporaries stay small whatever the length of its input.
+_POWER_BLOCK_ROWS = 8192
+
+# A negative base's power is kept when its error term lo is below this
+# share of an ULP of hi, and hi is a normal float in _POWER_RANGE that
+# is not a power of two (where the ULP below hi is half the one above).
+_MIDPOINT_BAND = 0.47
+_POWER_RANGE = (2.0**-900, 2.0**900)
+_MANTISSA_BITS = (1 << 52) - 1
+# Keeps the sign, the exponent and the top 25 stored bits of a float64:
+# a 26-bit high part whose products with another are exact.
+_HIGH_PART = np.int64(-(1 << 27))
 
 _PASCAL = [[1]]
 for _n in range(1, MAX_ORDER + 1):
@@ -261,12 +291,97 @@ def solve_coefficients_oracle(r: int, k: int, moments: Moments) -> OrthoCoeffici
     return OrthoCoefficients(r=r, k=k, bar_b_r=float(sol[0]), b=sol[1:].copy())
 
 
+def residual_power(resid, r: int) -> np.ndarray:
+    """``resid**r`` elementwise, bit for bit, without numpy's per-element pow for negative bases.
+
+    Powers r < 3, 0-d inputs and inputs that are not C-contiguous are
+    numpy's ``resid**r`` itself: numpy picks its pow loop by stride (a
+    reversed view takes the per-element pow for every base).  Otherwise
+    every element gets numpy's ``np.abs(resid)**r``, the bits of
+    ``resid**r`` for bases whose sign bit is clear.  Negative bases are
+    then settled in blocks of ``_POWER_BLOCK_ROWS`` (see the module
+    docstring): -0.0, NaN, bases near a rounding midpoint and powers
+    outside ``_POWER_RANGE`` or at a power of two are recomputed with
+    numpy's ``resid[rows]**r``, about 6% of uniformly spread bases.
+    """
+    resid = np.asarray(resid, dtype=float)
+    if r < 3 or resid.ndim == 0 or not resid.flags.c_contiguous:
+        return resid**r
+    flat = resid.ravel()
+    out = np.abs(flat)
+    np.power(out, r, out=out)
+    for lo in range(0, flat.size, _POWER_BLOCK_ROWS):
+        block = slice(lo, lo + _POWER_BLOCK_ROWS)
+        rest = lo + _settle_negative_bases(flat[block], out[block], r)
+        # Outside the errstate below, so numpy warns as ``resid**r`` would.
+        out[rest] = flat[rest] ** r
+    return out.reshape(resid.shape)
+
+
+def _settle_negative_bases(x: np.ndarray, out: np.ndarray, r: int) -> np.ndarray:
+    """Write ``x**r`` into ``out`` on rows of ``x`` whose sign bit is set; return those it leaves."""
+    rows = np.flatnonzero(np.signbit(x))
+    # Bases whose power leaves _POWER_RANGE may overflow or give NaN here;
+    # they are among the rows left.
+    with np.errstate(all="ignore"):
+        hi, lo = _power_hi_lo(-x[rows], r)
+        settled = np.abs(lo) < _MIDPOINT_BAND * np.spacing(hi)
+        settled &= (hi >= _POWER_RANGE[0]) & (hi <= _POWER_RANGE[1])
+        settled &= (hi.view(np.int64) & _MANTISSA_BITS) != 0
+    out[rows] = -hi if r % 2 else hi
+    return rows[~settled]
+
+
+def _power_hi_lo(a: np.ndarray, r: int) -> tuple:
+    """``a**r`` as hi + lo, hi = fl(hi + lo), to about 2**-70 relative, for positive ``a``.
+
+    Left-to-right binary powering on unevaluated sums h + l.  Each
+    product's rounding error is formed from 26-bit high parts, whose
+    products are exact (Dekker's two-product); the terms below an ULP
+    are summed in plain float64.
+    """
+    h, l = a, None
+    for bit in bin(operator.index(r))[3:]:
+        h, l = _square(h, l)
+        if bit == "1":
+            h, l = _times_base(h, l, a)
+    hi = h + l
+    return hi, l - (hi - h)
+
+
+def _high_part(v: np.ndarray) -> np.ndarray:
+    return (v.view(np.int64) & _HIGH_PART).view(np.float64)
+
+
+def _square(h, l) -> tuple:
+    """(h + l)**2 as p + e with p = fl(h * h); ``l=None`` stands for zero."""
+    p = h * h
+    h_hi = _high_part(h)
+    # h*h - p = (h_hi*h_hi - p) + (h - h_hi)*(h + h_hi), the first term exact.
+    e = (h_hi * h_hi - p) + (h - h_hi) * (h + h_hi)
+    if l is not None:
+        e += (h + h) * l
+    return p, e
+
+
+def _times_base(h, l, a) -> tuple:
+    """(h + l) * a as p + e with p = fl(h * a)."""
+    p = h * a
+    h_hi, a_hi = _high_part(h), _high_part(a)
+    e = (h_hi * a_hi - p) + h_hi * (a - a_hi) + (h - h_hi) * a + l * a
+    return p, e
+
+
 def correction_values(t, a, coeffs: OrthoCoefficients, moments: Moments) -> np.ndarray:
     """Vectorised correction factor A(t, a) as a polynomial in t - a.
 
     ``t`` is the treated-indicator realisation and ``a`` the propensity;
     both broadcast.  Centring uses m_1..m_{k-1} from ``moments``, which
-    must be the moments the coefficients were built from.
+    must be the moments the coefficients were built from.  Each power
+    (t - a)**q is :func:`residual_power`, so the bits are numpy's
+    ``(t - a)**q``: its SIMD pow for non-negative residuals and its
+    per-element pow (libm's, or SVML's scalar path on AVX-512 builds)
+    for negative ones, relying on that pow staying within 0.52 ULP.
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -275,9 +390,9 @@ def correction_values(t, a, coeffs: OrthoCoefficients, moments: Moments) -> np.n
             f"correction of order k={coeffs.k} needs moments up to {coeffs.k - 1}"
         )
     resid = t - a
-    out = coeffs.bar_b_r * resid**coeffs.r
+    out = coeffs.bar_b_r * residual_power(resid, coeffs.r)
     for q in range(1, coeffs.k):
-        out = out + coeffs.b[q - 1] * (resid**q - moments.m(q))
+        out = out + coeffs.b[q - 1] * (residual_power(resid, q) - moments.m(q))
     return out
 
 

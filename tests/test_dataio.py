@@ -32,7 +32,7 @@ from orthoate import (
 )
 from csv_reference import save_csv_dataset_reference
 
-from orthoate import dataio
+from orthoate import dataio, estimators
 from orthoate.dataio import CONFIG_RULES
 from orthoate.simulation import SWEEP_KINDS
 
@@ -185,6 +185,23 @@ def test_loaded_dataset_keeps_only_its_own_bytes(tmp_path, path_taken):
     # The slack is the Python objects around the data: the Dataset and four
     # array headers with their shapes and strides, 1.1-1.5 KB.
     assert nbytes <= kept <= nbytes + 4096
+
+
+def test_loaded_labels_are_not_copied_again(tmp_path):
+    # The loader casts the label column to int64 once; the Dataset keeps that array.
+    path = tmp_path / "labels.csv"
+    save_csv_dataset(random_dataset(50, False, seed=3), path)
+    calls = []
+    labels = estimators.integer_labels
+
+    def spy(d, what="labels"):
+        calls.append((d, labels(d, what)))
+        return calls[-1][1]
+
+    with mock.patch.object(estimators, "integer_labels", spy):
+        ds = load_csv_dataset(path)
+    [(given, kept)] = calls
+    assert given.dtype == np.int64 and kept is given and ds.d is given
 
 
 class TestCsvWriter:

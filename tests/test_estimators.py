@@ -163,6 +163,12 @@ def test_int64_labels_past_the_range_are_refused(bad):
         integer_labels(np.array([0, bad, 1], dtype=np.int64))
 
 
+def test_int64_labels_are_not_copied():
+    d = np.arange(10) % 2
+    assert integer_labels(d) is d
+    assert Dataset(y=np.zeros(10), d=d, Z=np.zeros((10, 1))).d is d
+
+
 CLASSIFIERS = {"fit_forest_classifier": fit_forest_classifier, "fit_logistic": fit_logistic}
 
 
