@@ -23,24 +23,23 @@ kept alongside as a named special case; it is first-order orthogonal
 only.
 
 Residual powers (t - a)**q are formed by :func:`residual_power`, which
-returns the bits of numpy's ``resid**q`` faster.  For q >= 3 numpy
-gives a non-negative base its SIMD pow and sends each negative base to
-a per-element pow: libm's where numpy has no SVML, and SVML's scalar
-path on AVX-512 builds.  The two paths round differently, so these
-bits follow the host's numpy and libm.  The kernel keeps numpy's result
-for every base whose sign bit is clear.  For a negative base it forms
-|resid|**q as hi + lo with error-free float64 products (Dekker 1971);
-hi is then the correctly rounded power unless lo lies near half an
-ULP.  A pow whose error stays below 0.52 ULP, as glibc documents for
-its pow, must return hi whenever |lo| < 0.47 ULP; numpy recomputes
-every other row.  SVML's scalar pow has no documented bound; it stayed
-below 0.514 ULP on 10**7 bases per power q = 3..8, 12, 16 (numpy 2.4,
-AVX-512 x86-64).
+returns the bits of numpy's ``resid**q`` faster.  For q >= 3 a numpy
+built with SVML (AVX-512) gives a non-negative base SVML's vector pow
+and sends each negative base, one at a time, to SVML's scalar pow; the
+two round differently.  Elsewhere every base gets the C library's pow.
+Either way the bits follow the host's numpy build and libm.  The kernel
+keeps numpy's result for every base whose sign bit is clear.  For a
+negative base it forms |resid|**q as hi + lo with error-free float64
+products (Dekker 1971); hi is then the correctly rounded power unless
+lo lies near half an ULP.  A pow whose error stays below 0.52 ULP, as
+glibc documents for its pow, must return hi whenever |lo| < 0.47 ULP;
+numpy recomputes every other row.  SVML's scalar pow has no documented
+bound; it stayed below 0.514 ULP on 10**7 bases per power q = 3..8,
+12, 16 (numpy 2.4, AVX-512 x86-64).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,7 +340,7 @@ def _power_hi_lo(a: np.ndarray, r: int) -> tuple:
     are summed in plain float64.
     """
     h, l = a, None
-    for bit in bin(operator.index(r))[3:]:
+    for bit in bin(r)[3:]:
         h, l = _square(h, l)
         if bit == "1":
             h, l = _times_base(h, l, a)
@@ -379,9 +378,10 @@ def correction_values(t, a, coeffs: OrthoCoefficients, moments: Moments) -> np.n
     both broadcast.  Centring uses m_1..m_{k-1} from ``moments``, which
     must be the moments the coefficients were built from.  Each power
     (t - a)**q is :func:`residual_power`, so the bits are numpy's
-    ``(t - a)**q``: its SIMD pow for non-negative residuals and its
-    per-element pow (libm's, or SVML's scalar path on AVX-512 builds)
-    for negative ones, relying on that pow staying within 0.52 ULP.
+    ``(t - a)**q``: for q >= 3, SVML's vector pow for non-negative
+    residuals and its scalar pow for negative ones where numpy has
+    SVML, the C library's pow elsewhere.  That rests on the pow for
+    negative bases erring by less than 0.52 ULP (module docstring).
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
