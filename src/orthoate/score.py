@@ -31,11 +31,15 @@ Either way the bits follow the host's numpy build and libm.  The kernel
 keeps numpy's result for every base whose sign bit is clear.  For a
 negative base it forms |resid|**q as hi + lo with error-free float64
 products (Dekker 1971); hi is then the correctly rounded power unless
-lo lies near half an ULP.  A pow whose error stays below 0.52 ULP, as
-glibc documents for its pow, must return hi whenever |lo| < 0.47 ULP;
-numpy recomputes every other row.  SVML's scalar pow has no documented
-bound; it stayed below 0.514 ULP on 10**7 bases per power q = 3..8,
-12, 16 (numpy 2.4, AVX-512 x86-64).
+lo lies near half an ULP.  A pow whose error stays below 0.53 ULP
+must return hi whenever |lo| < 0.47 ULP; numpy recomputes every other
+row.  glibc documents its pow at below 0.52 ULP.  SVML's scalar pow has
+no documented bound, so on an SVML build the kernel's bits rest on a
+measurement: that pow erred by at most 0.514 ULP on 10**7 bases per
+power q = 3..8, 12, 16 (numpy 2.4, AVX-512 x86-64), 0.016 ULP inside
+0.53.  Builds without SVML were not measured; there numpy's
+np.abs(resid)**q already calls the C library's pow for every base, so
+the negative-base pass may cost more than it saves.
 """
 
 from __future__ import annotations
@@ -302,6 +306,8 @@ def residual_power(resid, r: int) -> np.ndarray:
     docstring): -0.0, NaN, bases near a rounding midpoint and powers
     outside ``_POWER_RANGE`` or at a power of two are recomputed with
     numpy's ``resid[rows]**r``, about 6% of uniformly spread bases.
+    Where numpy's negative-base pow is SVML's scalar pow, bit equality
+    is measured, not guaranteed: that pow has no documented error bound.
     """
     resid = np.asarray(resid, dtype=float)
     if r < 3 or resid.ndim == 0 or not resid.flags.c_contiguous:
@@ -381,7 +387,8 @@ def correction_values(t, a, coeffs: OrthoCoefficients, moments: Moments) -> np.n
     ``(t - a)**q``: for q >= 3, SVML's vector pow for non-negative
     residuals and its scalar pow for negative ones where numpy has
     SVML, the C library's pow elsewhere.  That rests on the pow for
-    negative bases erring by less than 0.52 ULP (module docstring).
+    negative bases erring by less than 0.53 ULP: glibc documents 0.52,
+    SVML's scalar pow was only measured (module docstring).
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)

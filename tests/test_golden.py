@@ -7,9 +7,9 @@ exit codes and their stdout, with the bytes stored under
 the sweep summary's ``generated_at`` timestamp.
 
 To rewrite the stored bytes after an intended output change, run from
-the repository root (naming cases rewrites only those):
+the repository root:
 
-    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
-    for case in sys.argv[1:] or sorted(CASES):
+    for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run_case(case, Path(tmp))
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
